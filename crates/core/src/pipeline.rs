@@ -127,9 +127,8 @@ pub(crate) fn spanned<T>(sink: &dyn SpanSink, name: &str, f: impl FnOnce() -> T)
 }
 
 /// Wall-clock cost of each [`CuisineAtlas::build`] stage, in
-/// milliseconds. Surfaced by the server's `/health` endpoint and the
-/// `repro --bench-json` trajectory file. Assembled from the same
-/// measurements that flow to the build's [`SpanSink`].
+/// milliseconds. Surfaced by the server's `/health` endpoint. Assembled
+/// from the same measurements that flow to the build's [`SpanSink`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BuildTimings {
     /// Corpus generation.

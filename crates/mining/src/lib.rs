@@ -2,7 +2,7 @@
 //!
 //! Hand-written implementations of the mining algorithms the paper relies
 //! on (it uses FP-Growth; Agrawal's Apriori and Zaki's Eclat are provided
-//! as cross-checking baselines and for the ablation benchmarks):
+//! as cross-checking baselines):
 //!
 //! * [`fpgrowth::FpGrowth`] — Han, Pei & Yin, *Mining frequent patterns
 //!   without candidate generation*, SIGMOD 2000. The paper's miner.
@@ -20,8 +20,8 @@
 //! On top of raw itemsets the crate offers association-rule induction
 //! ([`rules`]) with confidence / lift / leverage / conviction, and
 //! maximal / closed filtering ([`filter`]) used by the cuisine-atlas
-//! Table I report, threshold-free top-k mining ([`topk`]), and direct
-//! closed-itemset mining with CHARM ([`charm`]).
+//! Table I report, and direct closed-itemset mining with CHARM
+//! ([`charm`]), the test oracle for [`filter::closed`].
 //! [`parallel::ParallelFpGrowth`] is a multi-threaded FP-Growth that
 //! partitions the search space by header-table item.
 //!
@@ -52,7 +52,6 @@ pub mod fpgrowth;
 pub mod itemset;
 pub mod parallel;
 pub mod rules;
-pub mod topk;
 pub mod transaction;
 
 pub use itemset::{FrequentItemset, ItemId, Itemset};

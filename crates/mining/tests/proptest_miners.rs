@@ -97,19 +97,6 @@ proptest! {
     }
 
     #[test]
-    fn topk_prefix_of_full_ranking(db in arb_db()) {
-        prop_assume!(!db.is_empty());
-        let k = 7usize;
-        let got = pattern_mining::topk::TopK::new(k).mine(&db);
-        let mut all = FpGrowth::new(1e-9).mine(&db);
-        all.sort_by(|a, b| b.count.cmp(&a.count)
-            .then(a.items.len().cmp(&b.items.len()))
-            .then(a.items.items().cmp(b.items.items())));
-        all.truncate(k);
-        prop_assert_eq!(got, all);
-    }
-
-    #[test]
     fn downward_closure_and_support_monotonicity(db in arb_db()) {
         prop_assume!(db.len() >= 2);
         let mined = FpGrowth::new(0.2).mine(&db);

@@ -2,11 +2,12 @@
 //!
 //! ```text
 //! repro [--scale S] [--seed N] [--linkage METHOD] [--build-threads N]
-//!       [--json] [--bench-json [PATH]] [--assert-speedup] [EXPERIMENT...]
+//!       [--json] [--export-corpus PATH] [EXPERIMENT...]
 //!
 //! EXPERIMENT: table1 figure1 figure2 figure3 figure4 figure5 figure6
 //!             validate extensions stats all        (default: all)
-//! --scale S   corpus scale vs the paper's 118k recipes (default 1.0)
+//! --scale S   corpus scale vs the paper's 118k recipes (default 1.0;
+//!             must be finite and positive)
 //! --seed N    generator seed (default 42)
 //! --linkage M single|complete|average|weighted|ward (default average)
 //! --build-threads N  worker threads for the atlas build; 0 = all
@@ -15,19 +16,14 @@
 //! --json      emit the machine-readable views (cuisine_atlas::views)
 //!             instead of the text reports, followed by a metrics
 //!             snapshot of the build's pipeline spans
-//! --bench-json [PATH]  skip the experiments; time cold atlas builds at
-//!             the configured scale for thread counts 1, 2 and all
-//!             cores, and write per-stage wall-clock entries to PATH
-//!             (default BENCH_atlas_build.json)
 //! --export-corpus PATH  skip the experiments; generate the corpus for
 //!             the configured scale/seed and write its RecipeDB JSON
 //!             snapshot to PATH — the format `POST /corpus` accepts
 //!             (see README "Bring your own corpus")
-//! --assert-speedup  with --bench-json: exit non-zero unless the build
-//!             at all cores beat the sequential build (skipped with a
-//!             warning on single-core hosts, where there is nothing to
-//!             compare)
 //! ```
+//!
+//! Arguments are checked before anything is built: a bad value or an
+//! unknown experiment exits non-zero with a usage error.
 
 use std::process::ExitCode;
 
@@ -47,9 +43,7 @@ struct Options {
     linkage: LinkageMethod,
     build_threads: usize,
     json: bool,
-    bench_json: Option<String>,
     export_corpus: Option<String>,
-    assert_speedup: bool,
     experiments: Vec<String>,
 }
 
@@ -60,19 +54,17 @@ fn parse_args() -> Result<Options, String> {
         linkage: LinkageMethod::Average,
         build_threads: 0,
         json: false,
-        bench_json: None,
         export_corpus: None,
-        assert_speedup: false,
         experiments: Vec::new(),
     };
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
                 opts.scale = v.parse().map_err(|e| format!("bad --scale {v}: {e}"))?;
-                if opts.scale <= 0.0 {
-                    return Err("--scale must be positive".into());
+                if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                    return Err(format!("--scale must be finite and positive, got {v}"));
                 }
             }
             "--seed" => {
@@ -97,33 +89,18 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("bad --build-threads {v}: {e}"))?;
             }
             "--json" => opts.json = true,
-            "--bench-json" => {
-                // Optional PATH operand; next bare non-flag, non-experiment
-                // token with a path-ish shape is taken as the output file.
-                let path = match args.peek() {
-                    Some(next)
-                        if !next.starts_with("--")
-                            && (next.ends_with(".json") || next.contains('/')) =>
-                    {
-                        args.next().unwrap()
-                    }
-                    _ => "BENCH_atlas_build.json".to_string(),
-                };
-                opts.bench_json = Some(path);
-            }
             "--export-corpus" => {
                 opts.export_corpus = Some(args.next().ok_or("--export-corpus needs a PATH")?);
             }
-            "--assert-speedup" => opts.assert_speedup = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: repro [--scale S] [--seed N] [--linkage M] [--build-threads N] \
-                     [--json] [--bench-json [PATH]] [--export-corpus PATH] [--assert-speedup] \
-                     [EXPERIMENT...]"
+                     [--json] [--export-corpus PATH] [EXPERIMENT...]"
                         .into(),
                 )
             }
-            exp => opts.experiments.push(exp.to_string()),
+            exp if text_report(exp).is_some() => opts.experiments.push(exp.to_string()),
+            other => return Err(format!("unknown experiment: {other}")),
         }
     }
     if opts.experiments.is_empty() {
@@ -150,10 +127,6 @@ fn main() -> ExitCode {
     }
     .with_linkage(opts.linkage)
     .with_build_threads(opts.build_threads);
-
-    if let Some(path) = &opts.bench_json {
-        return run_bench_json(&config, &opts, path);
-    }
 
     if let Some(path) = &opts.export_corpus {
         // Generate only — no mining or clustering — and write the
@@ -196,115 +169,31 @@ fn main() -> ExitCode {
     let atlas = CuisineAtlas::build(&config);
 
     for exp in &opts.experiments {
-        let out = match exp.as_str() {
-            "table1" | "t1" => experiments::table1(&atlas),
-            "figure1" | "f1" => experiments::figure1_elbow(&atlas),
-            "figure1x" | "f1b" => experiments::figure1_extended(&atlas),
-            "figure2" | "f2" => experiments::figure2_euclidean(&atlas),
-            "figure3" | "f3" => experiments::figure3_cosine(&atlas),
-            "figure4" | "f4" => experiments::figure4_jaccard(&atlas),
-            "figure5" | "f5" => experiments::figure5_authenticity(&atlas),
-            "figure6" | "f6" => experiments::figure6_geography(&atlas),
-            "validate" | "q1" => experiments::validate(&atlas),
-            "extensions" | "ext" => experiments::ext_all(&atlas),
-            "stats" => atlas.db().stats().report(),
-            "all" => experiments::run_all(&atlas),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{out}");
+        let report = text_report(exp).expect("experiments are checked by parse_args");
+        println!("{}", report(&atlas));
     }
     ExitCode::SUCCESS
 }
 
-/// `--bench-json`: time one cold atlas build per thread count (1, 2 and
-/// all cores, deduplicated) at the configured scale and write the
-/// per-stage wall-clock trajectory as flat JSON entries. The honest
-/// companion to `benches/atlas_build.rs` for tracking the parallel
-/// build across commits and machines.
-fn run_bench_json(config: &AtlasConfig, opts: &Options, path: &str) -> ExitCode {
-    let host_threads = par::available();
-    let mut thread_counts = vec![1, 2, host_threads];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
-    let mut entries = Vec::new();
-    let mut totals: Vec<(usize, f64)> = Vec::new();
-    for &threads in &thread_counts {
-        eprintln!(
-            "bench: cold build at scale {} with {threads} thread(s) ...",
-            opts.scale
-        );
-        let atlas = CuisineAtlas::build(&config.clone().with_build_threads(threads));
-        let t = atlas.timings();
-        totals.push((threads, t.total_ms()));
-        for (stage, wall_ms) in [
-            ("generate", t.generate_ms),
-            ("mine", t.mine_ms),
-            ("features", t.features_ms),
-            ("pdist", t.pdist_ms),
-            ("total", t.total_ms()),
-        ] {
-            entries.push(json!({
-                "stage": stage,
-                "scale": (opts.scale),
-                "threads": threads,
-                "wall_ms": wall_ms,
-            }));
-        }
-        eprintln!("bench: {threads} thread(s): total {:.0} ms", t.total_ms());
-    }
-
-    let doc = json!({
-        "benchmark": "atlas_build",
-        "host_threads": host_threads,
-        "seed": (opts.seed),
-        "entries": entries,
-    });
-    let body = serde_json::to_string_pretty(&doc).unwrap();
-    if let Err(e) = std::fs::write(path, body + "\n") {
-        eprintln!("writing {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {path}");
-
-    if opts.assert_speedup {
-        if host_threads <= 1 {
-            eprintln!(
-                "bench: --assert-speedup skipped — single-core host, \
-                 nothing to compare"
-            );
-            return ExitCode::SUCCESS;
-        }
-        let sequential = totals.iter().find(|&&(t, _)| t == 1).map(|&(_, ms)| ms);
-        let parallel = totals
-            .iter()
-            .find(|&&(t, _)| t == host_threads)
-            .map(|&(_, ms)| ms);
-        match (sequential, parallel) {
-            (Some(seq), Some(par)) if par < seq => {
-                eprintln!(
-                    "bench: speedup {:.2}x at {host_threads} threads \
-                     ({seq:.0} ms -> {par:.0} ms)",
-                    seq / par
-                );
-            }
-            (Some(seq), Some(par)) => {
-                eprintln!(
-                    "bench: REGRESSION — {host_threads}-thread build \
-                     ({par:.0} ms) is not faster than sequential ({seq:.0} ms)"
-                );
-                return ExitCode::FAILURE;
-            }
-            _ => {
-                eprintln!("bench: --assert-speedup: missing measurements");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+/// The text report an experiment name selects, or `None` for an unknown
+/// name.
+fn text_report(name: &str) -> Option<fn(&CuisineAtlas) -> String> {
+    let report: fn(&CuisineAtlas) -> String = match name {
+        "table1" | "t1" => experiments::table1,
+        "figure1" | "f1" => experiments::figure1_elbow,
+        "figure1x" | "f1b" => experiments::figure1_extended,
+        "figure2" | "f2" => experiments::figure2_euclidean,
+        "figure3" | "f3" => experiments::figure3_cosine,
+        "figure4" | "f4" => experiments::figure4_jaccard,
+        "figure5" | "f5" => experiments::figure5_authenticity,
+        "figure6" | "f6" => experiments::figure6_geography,
+        "validate" | "q1" => experiments::validate,
+        "extensions" | "ext" => experiments::ext_all,
+        "stats" => |atlas| atlas.db().stats().report(),
+        "all" => experiments::run_all,
+        _ => return None,
+    };
+    Some(report)
 }
 
 /// The build's pipeline spans as one JSON document: count, total wall
