@@ -3,7 +3,7 @@
 //! Every parallel stage of the atlas build — corpus generation, per-cuisine
 //! mining, pairwise-distance rows, elbow-sweep k values — is a *map over an
 //! index range* whose per-index results are pure functions of the index.
-//! This crate provides exactly that shape on crossbeam scoped threads:
+//! This crate provides exactly that shape on `std::thread::scope`:
 //!
 //! * results come back **in index order** regardless of which worker
 //!   computed what, so a parallel map is drop-in byte-identical to its
@@ -87,12 +87,10 @@ where
 
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(|| {
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         let pos = next.fetch_add(1, Ordering::Relaxed);
@@ -107,13 +105,16 @@ where
             })
             .collect();
         for handle in handles {
-            for (idx, value) in handle.join().expect("par worker panicked") {
+            // Re-raise a worker's panic with its original payload.
+            let local = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (idx, value) in local {
                 debug_assert!(slots[idx].is_none(), "index {idx} claimed twice");
                 slots[idx] = Some(value);
             }
         }
-    })
-    .expect("par scope panicked");
+    });
 
     slots
         .into_iter()
@@ -180,6 +181,17 @@ mod tests {
         assert_eq!(resolve(0), available());
         assert_eq!(resolve(5), 5);
         assert!(available() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 3 failed")]
+    fn worker_panic_reaches_the_caller() {
+        let _ = map(2, 8, |i| {
+            if i == 3 {
+                panic!("worker {i} failed");
+            }
+            i
+        });
     }
 
     #[test]

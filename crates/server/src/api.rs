@@ -11,7 +11,6 @@
 //! artifacts of one atlas in a single round trip.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -62,7 +61,6 @@ pub struct AppState {
     corpora: CorpusRegistry,
     store: Option<Arc<SnapshotStore>>,
     corpus_ttl: Option<Duration>,
-    builds: AtomicUsize,
     workers: usize,
     build_threads: usize,
     recent_timings: RwLock<VecDeque<BuildTimings>>,
@@ -112,7 +110,6 @@ impl AppState {
             corpora: CorpusRegistry::new(max_corpora),
             store,
             corpus_ttl,
-            builds: AtomicUsize::new(0),
             workers,
             build_threads,
             recent_timings: RwLock::new(VecDeque::with_capacity(RECENT_BUILDS)),
@@ -170,12 +167,7 @@ impl AppState {
     /// makes this strictly smaller than the number of cold requests
     /// under concurrency.
     pub fn build_count(&self) -> usize {
-        self.builds.load(Ordering::SeqCst)
-    }
-
-    /// Per-stage timings of the most recent cold atlas build, if any.
-    pub fn last_build_timings(&self) -> Option<BuildTimings> {
-        self.recent_timings.read().unwrap().back().copied()
+        self.metrics.build_total() as usize
     }
 
     /// Per-stage timings of up to the last [`RECENT_BUILDS`] cold
@@ -207,7 +199,7 @@ impl AppState {
 
     /// Lifetime `(hits, misses)` of the atlas cache.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        self.metrics.cache_totals()
     }
 
     /// The atlas for `config` over the implicit (generator-backed)
@@ -307,7 +299,6 @@ impl AppState {
                 return restored;
             }
             // Tier 3: a cold build, written through to the store.
-            self.builds.fetch_add(1, Ordering::SeqCst);
             self.metrics.record_build();
             self.metrics.record_build_for_corpus(&match corpus {
                 Some(info) => corpus_label(&info.digest),
@@ -728,7 +719,7 @@ fn timings_json(t: &BuildTimings) -> serde_json::Value {
 
 fn health(state: &AppState, _: &Request, _: &PathParams) -> Result<Response, ApiError> {
     state.purge_expired();
-    let (hits, misses) = state.cache.stats();
+    let (hits, misses) = state.cache_stats();
     let recent = state.recent_build_timings();
     let last_build_ms = recent.first().map(timings_json);
     let recent_builds_ms: Vec<serde_json::Value> = recent.iter().map(timings_json).collect();
@@ -809,19 +800,12 @@ fn health(state: &AppState, _: &Request, _: &PathParams) -> Result<Response, Api
 }
 
 fn metrics(state: &AppState, _: &Request, _: &PathParams) -> Result<Response, ApiError> {
-    // Gauges owned by the cache, appended to the registry's rendering
-    // so /metrics is the one-stop scrape target.
-    let (hits, misses) = state.cache.stats();
+    // The cache's size gauge, appended to the registry's rendering so
+    // /metrics is the one-stop scrape target.
     let mut extra = format!(
         "# HELP atlas_cached_atlases Atlases currently in the LRU cache.\n\
          # TYPE atlas_cached_atlases gauge\n\
-         atlas_cached_atlases {}\n\
-         # HELP atlas_cache_lookup_hits_total Cache-internal hit counter.\n\
-         # TYPE atlas_cache_lookup_hits_total counter\n\
-         atlas_cache_lookup_hits_total {hits}\n\
-         # HELP atlas_cache_lookup_misses_total Cache-internal miss counter.\n\
-         # TYPE atlas_cache_lookup_misses_total counter\n\
-         atlas_cache_lookup_misses_total {misses}\n",
+         atlas_cached_atlases {}\n",
         state.cache.len(),
     );
     if let Some(store) = &state.store {

@@ -1,19 +1,16 @@
-//! Sharded LRU cache for built atlases.
+//! LRU cache for built atlases.
 //!
 //! Keys are canonicalized [`AtlasConfig`]s (floats compared by bit
-//! pattern), values are `Arc`s shared with in-flight responses.
-//! Sharding by key hash keeps lock contention low; recency is a global
-//! atomic clock stamped on every hit so eviction is approximately LRU
-//! without a linked list.
+//! pattern), values are `Arc`s shared with in-flight responses. The
+//! cache holds a handful of atlases, so one mutex guards the map and
+//! its recency clock: every hit stamps the clock, and eviction removes
+//! the entry with the oldest stamp — an exact LRU without a linked
+//! list.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex};
 
 use cuisine_atlas::pipeline::AtlasConfig;
-
-const SHARDS: usize = 8;
 
 /// A hashable, canonical identity for an atlas build.
 ///
@@ -109,87 +106,59 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// A sharded, approximately-LRU cache.
+/// The map and the clock its recency stamps come from.
+struct Lru<V> {
+    map: HashMap<CacheKey, Entry<V>>,
+    clock: u64,
+}
+
+/// A bounded LRU cache behind one lock.
 pub struct AtlasCache<V> {
-    shards: Vec<RwLock<HashMap<CacheKey, Entry<V>>>>,
+    lru: Mutex<Lru<V>>,
     capacity: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl<V> AtlasCache<V> {
-    /// A cache holding at most `capacity` atlases in total.
+    /// A cache holding at most `capacity` atlases.
     pub fn new(capacity: usize) -> Self {
         AtlasCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            lru: Mutex::new(Lru {
+                map: HashMap::new(),
+                clock: 0,
+            }),
             capacity: capacity.max(1),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
-    }
-
-    fn shard(&self, key: &CacheKey) -> &RwLock<HashMap<CacheKey, Entry<V>>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
     }
 
     /// Look up a key, stamping recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<V>> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(key).write().unwrap();
-        match shard.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let mut lru = self.lru.lock().unwrap();
+        lru.clock += 1;
+        let now = lru.clock;
+        let entry = lru.map.get_mut(key)?;
+        entry.last_used = now;
+        Some(Arc::clone(&entry.value))
     }
 
-    /// Insert a value, evicting globally-least-recently-used entries
-    /// while the cache is over its total capacity. The evicted entries
-    /// are returned so the caller can spill them to the snapshot store
-    /// instead of losing the build outright.
+    /// Insert a value, evicting least-recently-used entries while the
+    /// cache is over capacity. The evicted entries are returned so the
+    /// caller can spill them to the snapshot store instead of losing
+    /// the build outright.
     pub fn insert(&self, key: CacheKey, value: Arc<V>) -> Vec<(CacheKey, Arc<V>)> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        self.shard(&key).write().unwrap().insert(
-            key,
-            Entry {
-                value,
-                last_used: now,
-            },
-        );
+        let mut lru = self.lru.lock().unwrap();
+        lru.clock += 1;
+        let last_used = lru.clock;
+        lru.map.insert(key, Entry { value, last_used });
         let mut evicted = Vec::new();
-        while self.len() > self.capacity {
-            // Find the globally-oldest entry (reads), then remove it
-            // (write). A concurrent hit can bump it in between — then
-            // the remove is a slightly-unfair eviction, not a bug.
-            let oldest = self
-                .shards
+        while lru.map.len() > self.capacity {
+            let oldest = lru
+                .map
                 .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .unwrap()
-                        .iter()
-                        .map(|(k, e)| (k.clone(), e.last_used))
-                        .collect::<Vec<_>>()
-                })
-                .min_by_key(|&(_, used)| used);
-            match oldest {
-                Some((k, _)) => {
-                    if let Some(entry) = self.shard(&k).write().unwrap().remove(&k) {
-                        evicted.push((k, entry.value));
-                    }
-                }
-                None => break,
-            };
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+                .expect("an over-capacity map is not empty");
+            let entry = lru.map.remove(&oldest).expect("the oldest key is present");
+            evicted.push((oldest, entry.value));
         }
         evicted
     }
@@ -198,38 +167,20 @@ impl<V> AtlasCache<V> {
     /// (the `DELETE /corpus/{digest}` path); returns how many were
     /// removed.
     pub fn remove_corpus(&self, digest: &str) -> usize {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap();
-            let doomed: Vec<CacheKey> = shard
-                .keys()
-                .filter(|k| k.corpus_digest() == Some(digest))
-                .cloned()
-                .collect();
-            for k in doomed {
-                shard.remove(&k);
-                removed += 1;
-            }
-        }
-        removed
+        let mut lru = self.lru.lock().unwrap();
+        let before = lru.map.len();
+        lru.map.retain(|k, _| k.corpus_digest() != Some(digest));
+        before - lru.map.len()
     }
 
-    /// Number of cached atlases across all shards.
+    /// Number of cached atlases.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.lru.lock().unwrap().map.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// `(hits, misses)` since startup.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -278,7 +229,7 @@ mod tests {
         cache.insert(key(1), Arc::new("atlas".to_string()));
         let got = cache.get(&key(1)).unwrap();
         assert_eq!(*got, "atlas");
-        assert_eq!(cache.stats(), (1, 1));
+        assert!(Arc::ptr_eq(&got, &cache.get(&key(1)).unwrap()));
         assert_eq!(cache.len(), 1);
     }
 
@@ -323,7 +274,7 @@ mod tests {
         // Touch key 1 so key 2 becomes the LRU entry, then overflow.
         cache.get(&key(1));
         let evicted = cache.insert(key(3), Arc::new(30));
-        assert_eq!(cache.len(), 2, "total capacity holds across shards");
+        assert_eq!(cache.len(), 2, "capacity holds");
         // The spilled entry is handed back to the caller.
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].0, key(2));

@@ -19,8 +19,9 @@ use crate::ServerConfig;
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// Requests served per connection before forcing a close.
 const MAX_REQUESTS_PER_CONNECTION: usize = 256;
-/// Accept-loop poll interval while no connections arrive.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Accept-loop back-off after a failed accept (e.g. `EMFILE`), so a
+/// persistent error cannot spin the thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Most bytes drained (and discarded) from an over-cap request body so
 /// the 413 response survives the close; see `http::drain_body`.
@@ -42,7 +43,6 @@ impl ServerHandle {
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         // A data dir makes the server persistent: snapshots are served
         // warm from disk and (unless --no-persist) written through.
@@ -175,8 +175,8 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // The accept loop polls, but a wake-up connection makes shutdown
-        // immediate rather than one poll interval away.
+        // The accept loop blocks in accept(); this connection wakes it
+        // so it sees the stop flag.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
@@ -242,14 +242,10 @@ fn accept_loop(
         },
     );
     loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
         match listener.accept() {
+            // Shutdown sets the flag, then connects to wake this loop.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
-                if stop.load(Ordering::SeqCst) {
-                    break; // wake-up connection — drop it and exit
-                }
                 if let Err(crate::pool::Rejected((mut stream, _))) =
                     pool.try_execute((stream, Instant::now()))
                 {
@@ -262,11 +258,8 @@ fn accept_loop(
                     let _ = resp.write_to(&mut stream, false);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // std retries EINTR itself, so an error here is real.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -483,6 +476,24 @@ mod tests {
         assert!(text.contains("\"status\""));
         assert_eq!(server.build_count(), 0);
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_of_a_wildcard_bind_returns_promptly() {
+        let server = ServerHandle::start(ServerConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "shutdown must wake the blocking accept"
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Serves every artifact of the paper's pipeline (Table I, the four
 //! cuisine trees, authenticity fingerprints, the elbow curve, and the
 //! geography comparison) over a JSON HTTP/1.1 API, built from the
-//! workspace's own primitives: `std::net` sockets, a crossbeam-backed
-//! worker pool, and a sharded LRU atlas cache with single-flight build
-//! deduplication.
+//! workspace's own primitives and `std` alone: `std::net` sockets with a
+//! blocking accept loop, a worker pool over a bounded `std::sync::mpsc`
+//! channel, and an LRU atlas cache behind one mutex with single-flight
+//! build deduplication.
 //!
 //! ```no_run
 //! use atlas_server::{ServerConfig, ServerHandle};

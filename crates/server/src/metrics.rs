@@ -319,6 +319,14 @@ impl MetricsRegistry {
         self.dedup.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Lifetime `(hits, misses)` of the atlas cache.
+    pub fn cache_totals(&self) -> (u64, u64) {
+        (
+            self.cache_hits.load(Ordering::Relaxed),
+            self.cache_misses.load(Ordering::Relaxed),
+        )
+    }
+
     /// Cold builds performed since startup.
     pub fn build_total(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)

@@ -1,21 +1,23 @@
-//! Fixed-size worker pool over a bounded crossbeam channel.
+//! Fixed-size worker pool over a bounded `std::sync::mpsc` channel.
 //!
 //! The pool is generic over the work item (the server feeds it accepted
 //! `TcpStream`s) with one shared handler fixed at construction. The
 //! queue is bounded: when it is full, [`WorkerPool::try_execute`] fails
 //! fast and *returns the item*, so the accept loop can answer 503
 //! instead of queueing unboundedly or silently dropping the connection.
-//! Dropping the pool (or calling [`WorkerPool::shutdown`]) closes the
-//! channel; workers drain what is queued and exit.
+//! Workers share the one receiver behind a mutex, held only to take an
+//! item. A handler that panics loses its item, not its worker. Dropping
+//! the pool closes the channel; workers drain what is queued and exit.
 
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A fixed pool of worker threads consuming items from a bounded queue.
 pub struct WorkerPool<T> {
-    sender: Option<Sender<T>>,
-    receiver: Receiver<T>,
+    // `None` only while dropping: taking it closes the channel.
+    sender: Option<SyncSender<T>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -27,66 +29,40 @@ impl<T: Send + 'static> WorkerPool<T> {
     where
         F: Fn(T) + Send + Sync + 'static,
     {
-        let (sender, receiver) = channel::bounded::<T>(queue_cap.max(1));
+        let (sender, receiver) = mpsc::sync_channel::<T>(queue_cap.max(1));
+        let receiver = Arc::new(Mutex::new(receiver));
         let handler = Arc::new(handler);
         let workers = (0..workers.max(1))
             .map(|i| {
-                let receiver = receiver.clone();
+                let receiver = Arc::clone(&receiver);
                 let handler = Arc::clone(&handler);
                 std::thread::Builder::new()
                     .name(format!("atlas-worker-{i}"))
-                    .spawn(move || {
-                        // recv() errors once every sender is gone and the
+                    .spawn(move || loop {
+                        // recv() errors once the sender is gone and the
                         // queue is drained — that is the shutdown signal.
-                        while let Ok(item) = receiver.recv() {
-                            handler(item);
-                        }
+                        let Ok(item) = receiver.lock().unwrap().recv() else {
+                            break;
+                        };
+                        // The panic hook has already printed the payload.
+                        let _ = catch_unwind(AssertUnwindSafe(|| handler(item)));
                     })
                     .expect("spawn worker thread")
             })
             .collect();
         WorkerPool {
             sender: Some(sender),
-            receiver,
             workers,
         }
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Items currently waiting in the queue (a point-in-time gauge for
-    /// observability; racy by nature, exact at the instant it is read).
-    pub fn queue_len(&self) -> usize {
-        self.receiver.len()
-    }
-
-    /// Submit an item, failing fast when the queue is full or the pool
-    /// is shutting down. The item comes back in the error so the caller
-    /// can reject it gracefully.
+    /// Submit an item, failing fast when the queue is full. The item
+    /// comes back in the error so the caller can reject it gracefully.
     pub fn try_execute(&self, item: T) -> Result<(), Rejected<T>> {
-        let sender = match self.sender.as_ref() {
-            Some(s) => s,
-            None => return Err(Rejected(item)),
-        };
-        match sender.try_send(item) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(item)) | Err(TrySendError::Disconnected(item)) => {
-                Err(Rejected(item))
-            }
-        }
-    }
-
-    /// Close the queue and join every worker. Queued items still run.
-    pub fn shutdown(&mut self) {
-        drop(self.sender.take());
-        for handle in self.workers.drain(..) {
-            // A worker that panicked already printed its payload; the
-            // pool itself survives so the rest can be joined.
-            let _ = handle.join();
-        }
+        let sender = self.sender.as_ref().expect("sender lives until drop");
+        sender.try_send(item).map_err(|e| match e {
+            TrySendError::Full(item) | TrySendError::Disconnected(item) => Rejected(item),
+        })
     }
 }
 
@@ -99,16 +75,9 @@ impl<T> Drop for WorkerPool<T> {
     }
 }
 
-/// The pool queue was full (or the pool was already shut down); the
-/// item is handed back.
+/// The pool queue was full; the item is handed back.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Rejected<T>(pub T);
-
-impl<T> std::fmt::Display for Rejected<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker pool saturated")
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -146,36 +115,38 @@ mod tests {
         // With the single worker blocked on the barrier, the queue (cap 1)
         // eventually fills and further submissions must bounce.
         let mut bounced = None;
+        let mut accepted = 0;
         for _ in 0..64 {
             match pool.try_execute(false) {
                 Err(Rejected(item)) => {
                     bounced = Some(item);
                     break;
                 }
-                Ok(()) => std::thread::sleep(Duration::from_millis(1)),
+                Ok(()) => {
+                    accepted += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             }
         }
         assert_eq!(bounced, Some(false));
-        assert_eq!(
-            pool.queue_len(),
-            1,
-            "the bounce means the queue is at capacity"
+        assert!(
+            accepted <= 1,
+            "the bounce means the queue is at capacity, not past it"
         );
         gate.wait();
     }
 
     #[test]
-    fn shutdown_drains_queue_then_joins() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        let mut pool = WorkerPool::new(2, 16, move |n: usize| {
-            c.fetch_add(n, Ordering::SeqCst);
+    fn a_panicking_handler_keeps_its_worker() {
+        let (done, handled) = mpsc::channel();
+        let pool = WorkerPool::new(1, 4, move |item: u32| {
+            if item == 0 {
+                panic!("handler failed on item 0");
+            }
+            done.send(item).unwrap();
         });
-        for _ in 0..8 {
-            pool.try_execute(1).unwrap();
-        }
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-        assert_eq!(pool.try_execute(1), Err(Rejected(1)));
+        pool.try_execute(0).unwrap();
+        pool.try_execute(1).unwrap();
+        assert_eq!(handled.recv_timeout(Duration::from_secs(5)), Ok(1));
     }
 }
