@@ -269,9 +269,50 @@ pub fn single_linkage_mst(dist: &CondensedMatrix) -> Vec<Merge> {
         }
     }
 
-    // Sort MST edges by weight and union-find into merges (shared with
-    // the NN-chain driver).
-    crate::nnchain::merges_from_weighted_pairs(n, edges)
+    // Sort MST edges by weight and union-find into merges.
+    merges_from_weighted_pairs(n, edges)
+}
+
+/// Convert `(height, leaf_rep_a, leaf_rep_b)` triples — discovered in any
+/// order — into a height-sorted scipy-style merge list via union-find.
+/// Shared by the MST single-linkage path and SLINK.
+pub(crate) fn merges_from_weighted_pairs(
+    n: usize,
+    mut edges: Vec<(f64, usize, usize)>,
+) -> Vec<Merge> {
+    edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    let mut parent: Vec<usize> = (0..n).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let mut cluster_of: Vec<usize> = (0..n).collect();
+    let mut sizes: Vec<usize> = vec![1; 2 * n - 1];
+    let mut merges = Vec::with_capacity(n - 1);
+    for (step, (w, u, v)) in edges.into_iter().enumerate() {
+        let ru = find(&mut parent, u);
+        let rv = find(&mut parent, v);
+        debug_assert_ne!(ru, rv, "edge joins an already-merged pair");
+        let (la, lb) = {
+            let (x, y) = (cluster_of[ru], cluster_of[rv]);
+            (x.min(y), x.max(y))
+        };
+        let new_label = n + step;
+        let new_size = sizes[la] + sizes[lb];
+        sizes[new_label] = new_size;
+        merges.push(Merge {
+            a: la,
+            b: lb,
+            distance: w,
+            size: new_size,
+        });
+        parent[rv] = ru;
+        cluster_of[ru] = new_label;
+    }
+    merges
 }
 
 /// Cut a merge sequence into exactly `k` flat clusters (the scipy

@@ -10,17 +10,14 @@
 //! * [`condensed`] — `pdist`-style condensed distance matrices;
 //! * [`hac`] — agglomerative clustering with single / complete / average /
 //!   weighted / ward / centroid / median linkage via the Lance–Williams
-//!   recurrence (`scipy.cluster.hierarchy.linkage` equivalent), plus the
-//!   O(n²) nearest-neighbour-chain driver ([`nnchain`]) for reducible
-//!   methods;
+//!   recurrence (`scipy.cluster.hierarchy.linkage` equivalent), with
+//!   [`slink`] as the independent single-linkage reference;
 //! * [`dendrogram`] — the merge tree: leaf ordering, cutting, cophenetic
 //!   distances, ASCII rendering and Newick export;
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding, WCSS and the
 //!   elbow sweep of the paper's Figure 1;
 //! * [`kmedoids`] — PAM over precomputed distances (the flat-clustering
 //!   baseline appropriate for categorical data);
-//! * [`kselect`] — silhouette sweeps and the gap statistic for choosing
-//!   k (corroborating Figure 1's "no elbow" finding);
 //! * [`validation`] — cophenetic correlation, Baker's gamma, silhouette,
 //!   Adjusted Rand Index and Fowlkes–Mallows;
 //! * [`treecmp`] — Robinson–Foulds clade distance and the Fowlkes–Mallows
@@ -50,8 +47,6 @@ pub mod encode;
 pub mod hac;
 pub mod kmeans;
 pub mod kmedoids;
-pub mod kselect;
-pub mod nnchain;
 pub mod slink;
 pub mod treecmp;
 pub mod validation;

@@ -10,8 +10,7 @@
 //! single-linkage implementations that the tests cross-check exactly.
 
 use crate::condensed::CondensedMatrix;
-use crate::hac::Merge;
-use crate::nnchain::merges_from_weighted_pairs;
+use crate::hac::{merges_from_weighted_pairs, Merge};
 
 /// The SLINK pointer representation.
 #[derive(Debug, Clone)]

@@ -11,7 +11,6 @@
 //! | F5 | Figure 5 (authenticity)   | [`figure5_authenticity`] |
 //! | F6 | Figure 6 (geography)      | [`figure6_geography`] |
 //! | Q1 | Validation & historical claims | [`validate`] |
-//! | E1–E4 | §VIII future-work extensions | [`ext_all`] |
 
 use clustering::kmeans::elbow_strength;
 use clustering::Metric;
@@ -37,70 +36,6 @@ pub fn figure1_elbow(atlas: &CuisineAtlas) -> String {
              (paper: 'no sharp edge or elbow like structure is obtained')\n"
         ));
     }
-    out
-}
-
-/// F1b (extension) — corroborate Figure 1 with stronger k-selection
-/// criteria: silhouette sweep, the gap statistic and a PAM (k-medoids)
-/// cost sweep on the cuisine pattern vectors.
-pub fn figure1_extended(atlas: &CuisineAtlas) -> String {
-    use clustering::condensed::CondensedMatrix;
-    use clustering::kmedoids::cost_sweep;
-    use clustering::kselect::{best_silhouette, gap_select, gap_statistic, silhouette_sweep};
-
-    let points = &atlas.features().binary;
-    let mut out = String::new();
-    out.push_str(
-        "Figure 1 extended: silhouette / gap statistic / PAM on pattern vectors
-
-",
-    );
-
-    out.push_str("silhouette by k:   ");
-    for (k, s) in silhouette_sweep(points, 10, 1) {
-        out.push_str(&format!("k={k}:{s:+.2}  "));
-    }
-    if let Some((k, s)) = best_silhouette(points, 10, 1) {
-        out.push_str(&format!(
-            "
-  best: k={k} at {s:+.3} (clean blob data scores > +0.8)
-"
-        ));
-    }
-
-    let curve = gap_statistic(points, 10, 6, 1);
-    out.push_str("gap statistic:     ");
-    for p in &curve {
-        out.push_str(&format!("k={}:{:+.2}  ", p.k, p.gap));
-    }
-    match gap_select(&curve) {
-        Some(k) => out.push_str(&format!(
-            "
-  gap rule selects k={k}
-"
-        )),
-        None => out.push_str(
-            "
-  gap rule selects nothing (no structure)
-",
-        ),
-    }
-
-    let dist = CondensedMatrix::pdist(points, clustering::Metric::Euclidean);
-    let pam = cost_sweep(&dist, 10, 50);
-    out.push_str("PAM cost by k:     ");
-    for (i, c) in pam.iter().enumerate() {
-        out.push_str(&format!("k={}:{c:.1}  ", i + 1));
-    }
-    out.push_str(
-        "
-
-All three criteria tell the same story as the paper's elbow plot:
-         the 26 cuisine vectors have gradual, nested similarity structure
-         rather than a flat k-cluster partition — hierarchical clustering is
-         the right tool.
-",
-    );
     out
 }
 
@@ -168,32 +103,12 @@ pub fn validate(atlas: &CuisineAtlas) -> String {
     out
 }
 
-/// E1–E4 — the future-work extensions in one report (see
-/// [`crate::extensions`]).
-pub fn ext_all(atlas: &CuisineAtlas) -> String {
-    let mut out = String::new();
-    out.push_str(&crate::extensions::kinds_ablation(atlas));
-    out.push('\n');
-    out.push_str(&crate::extensions::alias_ablation(atlas));
-    out.push('\n');
-    out.push_str(&crate::extensions::bootstrap_report(atlas, 10, 7));
-    out.push('\n');
-    out.push_str(&crate::extensions::linkage_sensitivity(atlas));
-    out.push('\n');
-    out.push_str(&crate::flavor_pairing::report(atlas.db(), 3, 7));
-    out
-}
-
 /// Run every experiment and concatenate the reports (the `repro -- all`
 /// output).
 pub fn run_all(atlas: &CuisineAtlas) -> String {
     let sections = [
         ("T1  Table I", table1(atlas)),
         ("F1  Figure 1 — elbow method", figure1_elbow(atlas)),
-        (
-            "F1b Figure 1 extended — silhouette / gap / PAM",
-            figure1_extended(atlas),
-        ),
         ("F2  Figure 2 — HAC euclidean", figure2_euclidean(atlas)),
         ("F3  Figure 3 — HAC cosine", figure3_cosine(atlas)),
         ("F4  Figure 4 — HAC jaccard", figure4_jaccard(atlas)),
@@ -203,7 +118,6 @@ pub fn run_all(atlas: &CuisineAtlas) -> String {
         ),
         ("F6  Figure 6 — HAC geography", figure6_geography(atlas)),
         ("Q1  Validation", validate(atlas)),
-        ("E1-E4  Future-work extensions", ext_all(atlas)),
     ];
     let mut out = String::new();
     for (title, body) in sections {
@@ -243,9 +157,7 @@ mod tests {
     fn run_all_contains_every_section() {
         let atlas = crate::testutil::shared_atlas();
         let all = run_all(atlas);
-        for tag in [
-            "T1", "F1", "F2", "F3", "F4", "F5", "F6", "Q1", "Ext1", "Ext2", "Ext3", "Ext4",
-        ] {
+        for tag in ["T1", "F1", "F2", "F3", "F4", "F5", "F6", "Q1"] {
             assert!(all.contains(tag), "missing section {tag}");
         }
     }

@@ -25,9 +25,6 @@
 //! 5. **Geographic validation** ([`geo`], [`compare`]) — haversine
 //!    distance tree (Figure 6) and quantified tree-vs-geography agreement,
 //!    including the paper's Canada–France and India–North-Africa claims.
-//! 6. **Future-work extensions** ([`extensions`]) — the paper's §VIII
-//!    items made runnable: item-kind ablation, ingredient-alias merging,
-//!    bootstrap claim stability, linkage sensitivity.
 //!
 //! ## Quick start
 //!
@@ -50,11 +47,8 @@
 pub mod authenticity;
 pub mod compare;
 pub mod experiments;
-pub mod extensions;
 pub mod features;
-pub mod flavor_pairing;
 pub mod geo;
-pub mod pairing;
 pub mod patterns;
 pub mod pipeline;
 pub mod report;

@@ -6,8 +6,8 @@
 //! longer publicly downloadable, so this crate provides two things:
 //!
 //! 1. An **in-memory recipe store** ([`store::RecipeDb`]) with interned
-//!    ingredient / process / utensil catalogs, cuisine indices, query
-//!    helpers, corpus statistics and JSON round-trip IO. Any corpus with the
+//!    ingredient / process / utensil catalogs, cuisine indices, corpus
+//!    statistics and JSON round-trip IO. Any corpus with the
 //!    RecipeDB shape (recipes = unordered sets of ingredients, processes and
 //!    utensils, each tagged with one of 26 regions) can be loaded into it.
 //!
@@ -42,17 +42,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alias;
 pub mod catalog;
 pub mod cuisine;
 mod decode;
 pub mod digest;
 pub mod error;
-pub mod flavor;
 pub mod generator;
 pub mod io;
 pub mod model;
-pub mod query;
 pub mod stats;
 pub mod store;
 

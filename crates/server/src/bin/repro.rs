@@ -5,7 +5,7 @@
 //!       [--json] [--export-corpus PATH] [EXPERIMENT...]
 //!
 //! EXPERIMENT: table1 figure1 figure2 figure3 figure4 figure5 figure6
-//!             validate extensions stats all        (default: all)
+//!             validate stats all                   (default: all)
 //! --scale S   corpus scale vs the paper's 118k recipes (default 1.0;
 //!             must be finite and positive)
 //! --seed N    generator seed (default 42)
@@ -181,14 +181,12 @@ fn text_report(name: &str) -> Option<fn(&CuisineAtlas) -> String> {
     let report: fn(&CuisineAtlas) -> String = match name {
         "table1" | "t1" => experiments::table1,
         "figure1" | "f1" => experiments::figure1_elbow,
-        "figure1x" | "f1b" => experiments::figure1_extended,
         "figure2" | "f2" => experiments::figure2_euclidean,
         "figure3" | "f3" => experiments::figure3_cosine,
         "figure4" | "f4" => experiments::figure4_jaccard,
         "figure5" | "f5" => experiments::figure5_authenticity,
         "figure6" | "f6" => experiments::figure6_geography,
         "validate" | "q1" => experiments::validate,
-        "extensions" | "ext" => experiments::ext_all,
         "stats" => |atlas| atlas.db().stats().report(),
         "all" => experiments::run_all,
         _ => return None,

@@ -3,6 +3,7 @@
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -317,7 +318,17 @@ fn handle_connection(
         };
         let keep_alive = request.wants_keep_alive() && served + 1 < MAX_REQUESTS_PER_CONNECTION;
         let started = Instant::now();
-        let (label, result) = router.dispatch_labeled(state, &request);
+        let dispatched = catch_unwind(AssertUnwindSafe(|| {
+            router.dispatch_labeled(state, &request)
+        }));
+        let Ok((label, result)) = dispatched else {
+            // The panic hook has already printed the payload. Answer the
+            // client instead of dropping the connection on it.
+            state.metrics().record_handler_panic();
+            let resp = api::error_response(&ApiError::internal("handler panicked"));
+            let _ = resp.write_to(&mut writer, false);
+            break;
+        };
         let response = match result {
             Ok(response) => response,
             Err(err) => api::error_response(&err),
@@ -494,6 +505,66 @@ mod tests {
             finished.recv_timeout(Duration::from_secs(2)).is_ok(),
             "shutdown must wake the blocking accept"
         );
+    }
+
+    /// Write raw bytes on one connection and read until the server
+    /// closes it.
+    fn exchange(addr: SocketAddr, raw: &str) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(raw.as_bytes()).unwrap();
+        let mut out = Vec::new();
+        stream.read_to_end(&mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_smuggled_second_request_gets_no_response() {
+        let server = ServerHandle::start(ServerConfig::default()).unwrap();
+        let smuggled = "GET /cuisines HTTP/1.1\r\n\r\n";
+        for headers in [
+            "Transfer-Encoding: chunked\r\n",
+            "Content-Length: 0\r\nContent-Length: 26\r\n",
+        ] {
+            let raw = exchange(
+                server.addr(),
+                &format!("GET /health HTTP/1.1\r\n{headers}\r\n{smuggled}"),
+            );
+            let responses = raw.windows(9).filter(|w| w == b"HTTP/1.1 ").count();
+            assert_eq!(responses, 1, "{}", String::from_utf8_lossy(&raw));
+            assert_eq!(parse_client_response(&raw).unwrap().0, 400);
+        }
+        let text = server.state().metrics().render_prometheus("");
+        assert!(text.contains("atlas_parse_errors_total 2\n"), "{text}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_handler_panic_is_answered_500_and_counted() {
+        let router: Router<AppState> = Router::new()
+            .get("/boom", |_, _, _| panic!("handler failed"))
+            .get("/ok", |_, _, _| Ok(crate::http::Response::json(200, "{}")));
+        let state = AppState::new(1, 1, 1);
+        let stop = AtomicBool::new(false);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let raw = std::thread::scope(|s| {
+            s.spawn(|| {
+                let (stream, _) = listener.accept().unwrap();
+                handle_connection(stream, &router, &state, &stop, false, BodyLimits::default());
+            });
+            // Two keep-alive requests: the connection must close after the
+            // 500, so /ok is never answered.
+            exchange(addr, "GET /boom HTTP/1.1\r\n\r\nGET /ok HTTP/1.1\r\n\r\n")
+        });
+        let head = String::from_utf8_lossy(&raw);
+        assert!(head.starts_with("HTTP/1.1 500 "), "{head}");
+        assert!(head.contains("Connection: close\r\n"), "{head}");
+        assert_eq!(head.matches("HTTP/1.1 ").count(), 1, "{head}");
+        let text = state.metrics().render_prometheus("");
+        assert!(text.contains("atlas_handler_panics_total 1\n"), "{text}");
     }
 
     #[test]

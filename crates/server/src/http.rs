@@ -3,8 +3,10 @@
 //! Covers exactly what the atlas API needs: request-line + header
 //! parsing with hard size limits, percent-decoding, query-string
 //! splitting, `Content-Length` bodies, keep-alive negotiation, and
-//! response writing. Anything outside that (chunked bodies, upgrades,
-//! multi-line headers) is rejected with a 400.
+//! response writing. Anything outside that (any `Transfer-Encoding`,
+//! more than one `Content-Length`, multi-line headers) is rejected with
+//! a 400: a body whose length this parser could read differently from a
+//! proxy in front of it would let one request smuggle a second.
 
 use std::io::{BufRead, Write};
 
@@ -195,7 +197,17 @@ pub fn read_request_limited<R: BufRead>(
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let body = match headers.iter().find(|(k, _)| k == "content-length") {
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(ParseError::Malformed(
+            "transfer-encoding is not supported".into(),
+        ));
+    }
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let content_length = lengths.next();
+    if lengths.next().is_some() {
+        return Err(ParseError::Malformed("duplicate content-length".into()));
+    }
+    let body = match content_length {
         Some((_, v)) => {
             let len: usize = v
                 .parse()
@@ -361,6 +373,7 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, ParseError> {
@@ -425,6 +438,36 @@ mod tests {
     }
 
     #[test]
+    fn transfer_encoding_is_rejected() {
+        // The smuggling shape: a chunked "body" that is really a second
+        // request must not be left on the connection.
+        for te in ["chunked", "gzip, chunked", "identity"] {
+            let raw = format!(
+                "GET /health HTTP/1.1\r\nTransfer-Encoding: {te}\r\n\r\n\
+                 GET /cuisines HTTP/1.1\r\n\r\n"
+            );
+            assert!(
+                matches!(parse(&raw).unwrap_err(), ParseError::Malformed(_)),
+                "Transfer-Encoding: {te} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_content_length_is_rejected() {
+        for (a, b) in [(0, 26), (26, 0), (4, 4)] {
+            let raw = format!(
+                "POST /batch HTTP/1.1\r\nContent-Length: {a}\r\nContent-Length: {b}\r\n\r\n\
+                 GET /cuisines HTTP/1.1\r\n\r\n"
+            );
+            assert!(
+                matches!(parse(&raw).unwrap_err(), ParseError::Malformed(_)),
+                "Content-Length {a} then {b} accepted"
+            );
+        }
+    }
+
+    #[test]
     fn body_limits_are_chosen_by_path() {
         let limits = BodyLimits {
             corpus_bytes: 8,
@@ -475,5 +518,63 @@ mod tests {
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with(r#"{"ok":true}"#));
+    }
+
+    /// A well-formed request the mutation strategy starts from.
+    fn valid_request(path: &str, body: &[u8]) -> Vec<u8> {
+        let mut raw = format!(
+            "POST {path}?seed=7 HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    /// Parse arbitrary bytes under small caps. The parser must not
+    /// panic, and an accepted body must fit the cap for its path.
+    fn check_parse(raw: &[u8]) {
+        let limits = BodyLimits {
+            corpus_bytes: 64,
+            default_bytes: 16,
+        };
+        match read_request_limited(&mut BufReader::new(raw), &limits) {
+            Ok(request) => assert!(request.body.len() <= limits.for_path(&request.path)),
+            Err(ParseError::BodyTooLarge {
+                limit, advertised, ..
+            }) => assert!(advertised > limit),
+            Err(ParseError::ConnectionClosed | ParseError::Malformed(_)) => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(raw in prop::collection::vec(0u8..=255, 0..256)) {
+            check_parse(&raw);
+        }
+
+        #[test]
+        fn mutated_requests_never_panic(
+            path in prop_oneof![Just("/corpus"), Just("/batch")],
+            body in prop::collection::vec(0u8..=255, 0..80),
+            edits in prop::collection::vec((0usize..512, 0u8..=255, 0u8..3), 0..6),
+        ) {
+            let mut raw = valid_request(path, &body);
+            // Overwrite, insert or delete single bytes at arbitrary offsets.
+            for (at, byte, op) in edits {
+                let at = at % (raw.len() + 1);
+                match op {
+                    0 if at < raw.len() => raw[at] = byte,
+                    1 => raw.insert(at, byte),
+                    _ if at < raw.len() => {
+                        raw.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            check_parse(&raw);
+        }
     }
 }

@@ -211,6 +211,7 @@ pub struct MetricsRegistry {
     connections: AtomicU64,
     shed: AtomicU64,
     parse_errors: AtomicU64,
+    handler_panics: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     builds: AtomicU64,
@@ -235,6 +236,7 @@ impl MetricsRegistry {
             connections: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             parse_errors: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             builds: AtomicU64::new(0),
@@ -296,6 +298,11 @@ impl MetricsRegistry {
     /// Count one malformed request (400 before routing).
     pub fn record_parse_error(&self) {
         self.parse_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one request whose handler panicked (500, then close).
+    pub fn record_handler_panic(&self) {
+        self.handler_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one atlas-cache hit.
@@ -459,6 +466,11 @@ impl MetricsRegistry {
                 "atlas_parse_errors_total",
                 "Requests rejected as malformed HTTP.",
                 &self.parse_errors,
+            ),
+            (
+                "atlas_handler_panics_total",
+                "Requests whose handler panicked, answered 500.",
+                &self.handler_panics,
             ),
             (
                 "atlas_cache_hits_total",

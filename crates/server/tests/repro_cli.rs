@@ -40,6 +40,11 @@ fn removed_bench_flags_are_unknown_and_write_nothing() {
     ] {
         assert_usage_error(&repro(&dir, args), "unknown experiment: --");
     }
+    // The future-work report sections are gone too.
+    for name in ["ext", "f1b"] {
+        let expect = format!("unknown experiment: {name}");
+        assert_usage_error(&repro(&dir, &["--scale", "0.01", name]), &expect);
+    }
     let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(written.is_empty(), "repro wrote {written:?}");
