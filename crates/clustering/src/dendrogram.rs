@@ -284,35 +284,6 @@ impl Dendrogram {
         }
     }
 
-    /// Graphviz DOT export: leaves as boxes, merges as circles labelled
-    /// with their height. Render with `dot -Tsvg`.
-    pub fn to_dot(&self, labels: &[String]) -> String {
-        assert_eq!(labels.len(), self.n_leaves, "one label per leaf");
-        let mut out = String::from("digraph dendrogram {\n  rankdir=LR;\n  node [fontsize=10];\n");
-        for (id, node) in self.nodes.iter().enumerate() {
-            match *node {
-                Node::Leaf { index } => {
-                    out.push_str(&format!(
-                        "  n{id} [shape=box, label=\"{}\"];\n",
-                        labels[index].replace('"', "'")
-                    ));
-                }
-                Node::Internal {
-                    left,
-                    right,
-                    height,
-                    ..
-                } => {
-                    out.push_str(&format!(
-                        "  n{id} [shape=circle, label=\"{height:.2}\"];\n  n{id} -> n{left};\n  n{id} -> n{right};\n"
-                    ));
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Newick export (heights become branch lengths; leaf names must not
     /// contain Newick metacharacters).
     pub fn to_newick(&self, labels: &[String]) -> String {
@@ -464,19 +435,6 @@ mod tests {
             "unbalanced parens in {nw}"
         );
         assert!(nw.contains("c_d"), "spaces escaped");
-    }
-
-    #[test]
-    fn dot_export_is_well_formed() {
-        let t = line_tree();
-        let labels: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
-        let dot = t.to_dot(&labels);
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.ends_with("}\n"));
-        // 4 leaves + 3 internal nodes; each internal has 2 edges.
-        assert_eq!(dot.matches("shape=box").count(), 4);
-        assert_eq!(dot.matches("shape=circle").count(), 3);
-        assert_eq!(dot.matches("->").count(), 6);
     }
 
     #[test]

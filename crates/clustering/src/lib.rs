@@ -1,5 +1,5 @@
 //! # clustering — hierarchical agglomerative clustering, k-means and
-//! validation indices, from scratch
+//! tree validation, from scratch
 //!
 //! This crate is the clustering substrate of the cuisine-atlas
 //! reproduction. It provides the pieces the paper gets from scipy /
@@ -16,12 +16,8 @@
 //!   distances, ASCII rendering and Newick export;
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding, WCSS and the
 //!   elbow sweep of the paper's Figure 1;
-//! * [`kmedoids`] — PAM over precomputed distances (the flat-clustering
-//!   baseline appropriate for categorical data);
-//! * [`validation`] — cophenetic correlation, Baker's gamma, silhouette,
-//!   Adjusted Rand Index and Fowlkes–Mallows;
-//! * [`treecmp`] — Robinson–Foulds clade distance and the Fowlkes–Mallows
-//!   Bₖ curve for dendrogram-vs-dendrogram validation;
+//! * [`validation`] — Pearson/Spearman and matrix correlation, cophenetic
+//!   correlation and Baker's gamma;
 //! * [`encode`] — label encoding and binary incidence vectorization (the
 //!   paper's pattern-to-feature-vector step).
 //!
@@ -46,9 +42,7 @@ pub mod distance;
 pub mod encode;
 pub mod hac;
 pub mod kmeans;
-pub mod kmedoids;
 pub mod slink;
-pub mod treecmp;
 pub mod validation;
 
 pub use condensed::CondensedMatrix;

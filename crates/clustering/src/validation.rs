@@ -8,9 +8,8 @@
 //!   the input distances;
 //! * [`bakers_gamma`] — rank correlation between two trees' cophenetic
 //!   matrices (tree–tree similarity);
-//! * [`adjusted_rand_index`] and [`fowlkes_mallows`] — flat-partition
-//!   agreement;
-//! * [`silhouette`] — flat-cluster quality under any metric.
+//! * [`matrix_correlation`] — Pearson correlation of two distance
+//!   matrices over the same points.
 
 use crate::condensed::CondensedMatrix;
 use crate::dendrogram::Dendrogram;
@@ -86,97 +85,6 @@ pub fn matrix_correlation(a: &CondensedMatrix, b: &CondensedMatrix) -> f64 {
     pearson(a.data(), b.data())
 }
 
-/// Contingency counts between two labelings.
-fn contingency(a: &[usize], b: &[usize]) -> (Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
-    let ka = a.iter().max().map_or(0, |&m| m + 1);
-    let kb = b.iter().max().map_or(0, |&m| m + 1);
-    let mut table = vec![vec![0u64; kb]; ka];
-    for (&x, &y) in a.iter().zip(b) {
-        table[x][y] += 1;
-    }
-    let rows: Vec<u64> = table.iter().map(|r| r.iter().sum()).collect();
-    let cols: Vec<u64> = (0..kb).map(|j| table.iter().map(|r| r[j]).sum()).collect();
-    (table, rows, cols)
-}
-
-fn choose2(x: u64) -> f64 {
-    (x as f64) * (x as f64 - 1.0) / 2.0
-}
-
-/// Adjusted Rand Index between two flat labelings (1 = identical
-/// partitions, ~0 = chance agreement).
-pub fn adjusted_rand_index(a: &[usize], b: &[usize]) -> f64 {
-    assert_eq!(a.len(), b.len(), "labelings must cover the same points");
-    let n = a.len() as u64;
-    if n < 2 {
-        return 1.0;
-    }
-    let (table, rows, cols) = contingency(a, b);
-    let sum_ij: f64 = table.iter().flatten().map(|&c| choose2(c)).sum();
-    let sum_a: f64 = rows.iter().map(|&c| choose2(c)).sum();
-    let sum_b: f64 = cols.iter().map(|&c| choose2(c)).sum();
-    let total = choose2(n);
-    let expected = sum_a * sum_b / total;
-    let max_index = 0.5 * (sum_a + sum_b);
-    if (max_index - expected).abs() < 1e-12 {
-        return 1.0;
-    }
-    (sum_ij - expected) / (max_index - expected)
-}
-
-/// Fowlkes–Mallows index between two flat labelings (geometric mean of
-/// pairwise precision and recall).
-pub fn fowlkes_mallows(a: &[usize], b: &[usize]) -> f64 {
-    assert_eq!(a.len(), b.len(), "labelings must cover the same points");
-    let (table, rows, cols) = contingency(a, b);
-    let tp: f64 = table.iter().flatten().map(|&c| choose2(c)).sum();
-    let pa: f64 = rows.iter().map(|&c| choose2(c)).sum();
-    let pb: f64 = cols.iter().map(|&c| choose2(c)).sum();
-    if pa <= 0.0 || pb <= 0.0 {
-        return 0.0;
-    }
-    tp / (pa * pb).sqrt()
-}
-
-/// Mean silhouette coefficient of a flat clustering under a precomputed
-/// distance matrix. Points in singleton clusters contribute 0 (sklearn
-/// convention). Returns 0 when every point is in one cluster.
-pub fn silhouette(dist: &CondensedMatrix, labels: &[usize]) -> f64 {
-    let n = dist.len();
-    assert_eq!(labels.len(), n, "one label per point");
-    let k = labels.iter().max().map_or(0, |&m| m + 1);
-    if k <= 1 || n <= 1 {
-        return 0.0;
-    }
-    let mut cluster_sizes = vec![0usize; k];
-    for &l in labels {
-        cluster_sizes[l] += 1;
-    }
-    let mut total = 0.0;
-    for i in 0..n {
-        let li = labels[i];
-        if cluster_sizes[li] <= 1 {
-            continue; // silhouette 0 for singletons
-        }
-        // Mean distance to own cluster (a) and nearest other cluster (b).
-        let mut sums = vec![0.0; k];
-        for j in 0..n {
-            if i != j {
-                sums[labels[j]] += dist.get(i, j);
-            }
-        }
-        let a = sums[li] / (cluster_sizes[li] - 1) as f64;
-        let b = (0..k)
-            .filter(|&c| c != li && cluster_sizes[c] > 0)
-            .map(|c| sums[c] / cluster_sizes[c] as f64)
-            .fold(f64::INFINITY, f64::min);
-        if b.is_finite() {
-            total += (b - a) / a.max(b);
-        }
-    }
-    total / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,38 +141,6 @@ mod tests {
         let g21 = bakers_gamma(&t2, &t1);
         assert!((g12 - g21).abs() < 1e-12);
         assert!(g12 > 0.5, "same data, different linkage: related trees");
-    }
-
-    #[test]
-    fn ari_perfect_permuted_and_random() {
-        let a = vec![0, 0, 1, 1, 2, 2];
-        let b = vec![2, 2, 0, 0, 1, 1]; // same partition, renamed
-        assert!((adjusted_rand_index(&a, &b) - 1.0).abs() < 1e-12);
-        let c = vec![0, 1, 0, 1, 0, 1]; // orthogonal partition
-        assert!(adjusted_rand_index(&a, &c) < 0.1);
-        assert!((adjusted_rand_index(&[0], &[0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fowlkes_mallows_bounds() {
-        let a = vec![0, 0, 1, 1];
-        assert!((fowlkes_mallows(&a, &a) - 1.0).abs() < 1e-12);
-        let b = vec![0, 1, 0, 1];
-        let fm = fowlkes_mallows(&a, &b);
-        assert!((0.0..=1.0).contains(&fm));
-        // All-singletons vs anything with no co-pairs: 0 by convention.
-        assert_eq!(fowlkes_mallows(&[0, 1, 2], &[0, 0, 0]), 0.0);
-    }
-
-    #[test]
-    fn silhouette_high_for_separated_clusters() {
-        let pts = vec![vec![0.0], vec![0.1], vec![10.0], vec![10.1]];
-        let d = CondensedMatrix::pdist(&pts, Metric::Euclidean);
-        let good = silhouette(&d, &[0, 0, 1, 1]);
-        assert!(good > 0.9, "separated clusters, got {good}");
-        let bad = silhouette(&d, &[0, 1, 0, 1]);
-        assert!(bad < 0.0, "mixed-up labels, got {bad}");
-        assert_eq!(silhouette(&d, &[0, 0, 0, 0]), 0.0, "single cluster");
     }
 
     #[test]

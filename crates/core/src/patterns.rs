@@ -112,25 +112,24 @@ impl CuisinePatterns {
 
 /// Mine every cuisine in Table I order.
 pub fn mine_all(db: &RecipeDb, min_support: f64) -> Vec<CuisinePatterns> {
-    mine_all_threads(db, min_support, 1)
+    mine_cuisines_threads_observed(
+        db,
+        &Cuisine::ALL,
+        min_support,
+        1,
+        &crate::pipeline::NullSink,
+    )
 }
 
-/// [`mine_all_threads`] with per-cuisine wall-clock spans
-/// (`mine/Italian`, ...) reported to `sink` as each cuisine finishes.
-/// Timing is observation only — output is identical to [`mine_all`].
-pub fn mine_all_threads_observed(
-    db: &RecipeDb,
-    min_support: f64,
-    threads: usize,
-    sink: &dyn crate::pipeline::SpanSink,
-) -> Vec<CuisinePatterns> {
-    mine_cuisines_threads_observed(db, &Cuisine::ALL, min_support, threads, sink)
-}
-
-/// Mine an explicit cuisine list (results in list order) — the entry
-/// point for uploaded corpora that may cover only a subset of the 26
-/// cuisines. With `cuisines == Cuisine::ALL` this is exactly
-/// [`mine_all_threads_observed`].
+/// Mine an explicit cuisine list (results in list order) — uploaded
+/// corpora may cover only a subset of the 26 cuisines — fanned out over
+/// `threads` workers. Cuisines are claimed largest-first (recipe counts
+/// span Korean's 668 to Italian's 16k at full scale), and cuisines above
+/// [`LARGE_CUISINE_RECIPES`] recipes additionally run the multi-threaded
+/// FP-Growth so the biggest mining job cannot dominate the critical path.
+/// Per-cuisine wall-clock spans (`mine/Italian`, ...) are reported to
+/// `sink` as each cuisine finishes. The output is identical for any
+/// thread count.
 pub fn mine_cuisines_threads_observed(
     db: &RecipeDb,
     cuisines: &[Cuisine],
@@ -159,16 +158,6 @@ pub fn mine_cuisines_threads_observed(
         };
         mine_one(cuisine, inner)
     })
-}
-
-/// Mine every cuisine in Table I order, fanned out over `threads`
-/// workers. Cuisines are claimed largest-first (recipe counts span
-/// Korean's 668 to Italian's 16k at full scale), and cuisines above
-/// [`LARGE_CUISINE_RECIPES`] recipes additionally run the multi-threaded
-/// FP-Growth so the biggest mining job cannot dominate the critical path.
-/// Output is identical to [`mine_all`] for any thread count.
-pub fn mine_all_threads(db: &RecipeDb, min_support: f64, threads: usize) -> Vec<CuisinePatterns> {
-    mine_all_threads_observed(db, min_support, threads, &crate::pipeline::NullSink)
 }
 
 /// Items that clear the support threshold in at least
@@ -268,7 +257,13 @@ mod tests {
         let db = small_db();
         let seq = mine_all(&db, 0.2);
         for threads in [2, 8] {
-            let par = mine_all_threads(&db, 0.2, threads);
+            let par = mine_cuisines_threads_observed(
+                &db,
+                &Cuisine::ALL,
+                0.2,
+                threads,
+                &crate::pipeline::NullSink,
+            );
             assert_eq!(seq.len(), par.len());
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.cuisine, b.cuisine);

@@ -236,22 +236,6 @@ impl CuisineTree {
         }
     }
 
-    /// Cophenetic (tree) distance between two cuisines.
-    ///
-    /// # Panics
-    /// If either cuisine is not a leaf of this tree.
-    pub fn cophenetic_between(&self, a: Cuisine, b: Cuisine) -> f64 {
-        let coph = self.dendrogram.cophenetic();
-        coph.get(self.leaf_index(a), self.leaf_index(b))
-    }
-
-    fn leaf_index(&self, cuisine: Cuisine) -> usize {
-        self.cuisines
-            .iter()
-            .position(|&c| c == cuisine)
-            .unwrap_or_else(|| panic!("cuisine {cuisine} is not a leaf of this tree"))
-    }
-
     /// The cuisines in dendrogram display order.
     pub fn leaf_cuisines(&self) -> Vec<Cuisine> {
         self.dendrogram
@@ -504,7 +488,7 @@ impl CuisineAtlas {
             .authenticity_dist
             .get_or_init(|| {
                 CondensedMatrix::par_pdist(
-                    &self.cached_authenticity().relative,
+                    &self.authenticity_matrix().relative,
                     Metric::Euclidean,
                     self.config.effective_build_threads(),
                 )
@@ -512,15 +496,12 @@ impl CuisineAtlas {
             .clone()
     }
 
-    fn cached_authenticity(&self) -> &AuthenticityMatrix {
+    /// The authenticity matrix itself (fingerprint inspection), built
+    /// once per atlas.
+    pub fn authenticity_matrix(&self) -> &AuthenticityMatrix {
         self.caches
             .authenticity
             .get_or_init(|| AuthenticityMatrix::ingredients_over(&self.db, &self.cuisines))
-    }
-
-    /// The authenticity matrix itself (fingerprint inspection).
-    pub fn authenticity_matrix(&self) -> AuthenticityMatrix {
-        self.cached_authenticity().clone()
     }
 
     /// **Figure 6** — the geographic validation tree (over the active

@@ -77,121 +77,6 @@ pub fn render_tree(tree: &CuisineTree) -> String {
     out
 }
 
-/// Render Table I as a Markdown table (for READMEs / notebooks).
-pub fn render_table1_markdown(table: &Table1) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| Region | Recipes | Top patterns (support) | #Patterns |
-",
-    );
-    out.push_str(
-        "|---|---:|---|---:|
-",
-    );
-    for row in &table.rows {
-        let patterns: Vec<String> = row
-            .top_patterns
-            .iter()
-            .map(|p| format!("{} ({:.2})", p.pattern, p.support))
-            .collect();
-        out.push_str(&format!(
-            "| {} | {} | {} | {} |
-",
-            row.cuisine.name(),
-            row.n_recipes,
-            patterns.join("; "),
-            row.pattern_count
-        ));
-    }
-    out
-}
-
-/// Export Table I as CSV (one line per (cuisine, pattern) pair).
-pub fn table1_to_csv(table: &Table1) -> String {
-    let mut out = String::from(
-        "region,recipes,rank,pattern,support,pattern_count
-",
-    );
-    for row in &table.rows {
-        for (rank, p) in row.top_patterns.iter().enumerate() {
-            // Quote the two free-text fields defensively.
-            out.push_str(&format!(
-                "\"{}\",{},{},\"{}\",{:.4},{}
-",
-                row.cuisine.name(),
-                row.n_recipes,
-                rank + 1,
-                p.pattern,
-                p.support,
-                row.pattern_count
-            ));
-        }
-    }
-    out
-}
-
-/// Render a horizontal, height-proportional dendrogram — the visual shape
-/// of the paper's figures: one row per leaf (in dendrogram order), bar
-/// length proportional to the height at which the leaf's cluster path
-/// ascends.
-pub fn render_tree_profile(tree: &CuisineTree, width: usize) -> String {
-    let coph = tree.dendrogram.cophenetic();
-    let order = tree.dendrogram.leaf_order();
-    let max_h = tree.dendrogram.max_height().max(1e-12);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Merge-height profile [{}] (bar = height at which the leaf joins its neighbour below)
-",
-        tree.description
-    ));
-    for (pos, &leaf) in order.iter().enumerate() {
-        let join_height = if pos + 1 < order.len() {
-            coph.get(leaf, order[pos + 1])
-        } else {
-            max_h
-        };
-        let bar = ((join_height / max_h) * width as f64).round() as usize;
-        out.push_str(&format!(
-            "{:<24} |{}
-",
-            Cuisine::ALL[leaf].name(),
-            "▆".repeat(bar.min(width))
-        ));
-    }
-    out
-}
-
-/// Render the pairwise cuisine-distance matrix as an ASCII heatmap
-/// (shade = distance quintile; leaves in dendrogram order so the block
-/// structure is visible along the diagonal).
-pub fn render_heatmap(tree: &CuisineTree) -> String {
-    const SHADES: [char; 5] = ['█', '▓', '▒', '░', ' '];
-    let order = tree.dendrogram.leaf_order();
-    let max_d = tree
-        .distances
-        .data()
-        .iter()
-        .cloned()
-        .fold(f64::MIN, f64::max)
-        .max(1e-12);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Distance heatmap [{}] (darker = closer, rows/cols in dendrogram order)
-",
-        tree.description
-    ));
-    for &i in &order {
-        out.push_str(&format!("{:<24} ", Cuisine::ALL[i].name()));
-        for &j in &order {
-            let d = tree.distances.get(i, j);
-            let shade = ((d / max_d) * (SHADES.len() as f64 - 1.0)).round() as usize;
-            out.push(SHADES[shade.min(SHADES.len() - 1)]);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,54 +104,6 @@ mod tests {
     fn elbow_render_handles_zero_curve() {
         let text = render_elbow(&[0.0, 0.0]);
         assert!(text.contains("k=2"));
-    }
-
-    #[test]
-    fn markdown_table_has_26_rows_plus_header() {
-        let atlas = crate::testutil::shared_atlas();
-        let md = render_table1_markdown(&atlas.table1());
-        assert_eq!(md.lines().count(), 28);
-        assert!(md.starts_with("| Region |"));
-        assert!(md.contains("| UK |"));
-    }
-
-    #[test]
-    fn csv_export_is_rectangular() {
-        let atlas = crate::testutil::shared_atlas();
-        let csv = table1_to_csv(&atlas.table1());
-        let mut lines = csv.lines();
-        let header = lines.next().unwrap();
-        let cols = header.split(',').count();
-        for line in lines {
-            assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
-        }
-        assert!(csv.contains("\"Japanese\""));
-    }
-
-    #[test]
-    fn profile_render_has_one_bar_per_cuisine() {
-        let atlas = crate::testutil::shared_atlas();
-        let text = render_tree_profile(&atlas.pattern_tree(Metric::Euclidean), 40);
-        assert_eq!(text.lines().count(), 27, "header + 26 leaves");
-        assert!(text.contains('▆'));
-    }
-
-    #[test]
-    fn heatmap_is_square_with_dark_diagonal() {
-        let atlas = crate::testutil::shared_atlas();
-        let tree = atlas.pattern_tree(Metric::Jaccard);
-        let text = render_heatmap(&tree);
-        let rows: Vec<&str> = text.lines().skip(1).collect();
-        assert_eq!(rows.len(), 26);
-        for row in &rows {
-            // 24-char label + space + 26 cells.
-            assert_eq!(row.chars().count(), 25 + 26, "row: {row}");
-        }
-        // The diagonal is self-distance 0 -> darkest shade.
-        for (r, row) in rows.iter().enumerate() {
-            let cell = row.chars().nth(25 + r).unwrap();
-            assert_eq!(cell, '█', "diagonal row {r}");
-        }
     }
 
     #[test]

@@ -297,7 +297,7 @@ mod tests {
     fn fingerprint_view_roundtrips_with_named_items() {
         let a = atlas();
         let m = a.authenticity_matrix();
-        let view = FingerprintView::from_matrix(&m, a.db(), Cuisine::Japanese, 5);
+        let view = FingerprintView::from_matrix(m, a.db(), Cuisine::Japanese, 5);
         assert_eq!(view.cuisine, "Japanese");
         assert_eq!(view.most_authentic.len(), 5);
         assert_eq!(view.least_authentic.len(), 5);

@@ -1,7 +1,5 @@
-//! Post-processing of mined itemsets: **maximal** and **closed** filtering.
-//!
-//! * An itemset is *maximal* if no proper superset of it is frequent.
-//! * An itemset is *closed* if no proper superset has the same support.
+//! Post-processing of mined itemsets: **closed** filtering. An itemset
+//! is *closed* if no proper superset has the same support.
 //!
 //! The cuisine-atlas Table I report surfaces the top **closed** patterns:
 //! with the corpus's motif structure, a signature bundle is exactly the
@@ -9,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use crate::itemset::{FrequentItemset, ItemId};
+use crate::itemset::FrequentItemset;
 
 /// Index itemsets by length for superset probing.
 fn by_length(itemsets: &[FrequentItemset]) -> HashMap<usize, Vec<&FrequentItemset>> {
@@ -18,25 +16,6 @@ fn by_length(itemsets: &[FrequentItemset]) -> HashMap<usize, Vec<&FrequentItemse
         map.entry(f.items.len()).or_default().push(f);
     }
     map
-}
-
-/// Keep only maximal itemsets: those with no frequent proper superset.
-pub fn maximal(itemsets: &[FrequentItemset]) -> Vec<FrequentItemset> {
-    let index = by_length(itemsets);
-    let max_len = index.keys().max().copied().unwrap_or(0);
-    itemsets
-        .iter()
-        .filter(|f| {
-            let len = f.items.len();
-            // Any strictly longer frequent itemset containing f?
-            !(len + 1..=max_len).any(|l| {
-                index
-                    .get(&l)
-                    .is_some_and(|cands| cands.iter().any(|c| f.items.is_subset_of(&c.items)))
-            })
-        })
-        .cloned()
-        .collect()
 }
 
 /// Keep only closed itemsets: those with no proper superset of equal
@@ -60,44 +39,16 @@ pub fn closed(itemsets: &[FrequentItemset]) -> Vec<FrequentItemset> {
         .collect()
 }
 
-/// Keep itemsets containing at least one item from `allowed`.
-pub fn containing_any(
-    itemsets: &[FrequentItemset],
-    allowed: &dyn Fn(ItemId) -> bool,
-) -> Vec<FrequentItemset> {
-    itemsets
-        .iter()
-        .filter(|f| f.items.items().iter().any(|&i| allowed(i)))
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::itemset::Itemset;
+    use crate::itemset::{ItemId, Itemset};
 
     fn fi(items: Vec<ItemId>, count: u64) -> FrequentItemset {
         FrequentItemset {
             items: Itemset::new(items),
             count,
         }
-    }
-
-    #[test]
-    fn maximal_drops_subsets_of_frequent_sets() {
-        let sets = vec![
-            fi(vec![1], 5),
-            fi(vec![2], 4),
-            fi(vec![1, 2], 3),
-            fi(vec![3], 3),
-        ];
-        let max = maximal(&sets);
-        let items: Vec<&[ItemId]> = max.iter().map(|f| f.items.items()).collect();
-        assert!(items.contains(&&[1u32, 2][..]));
-        assert!(items.contains(&&[3u32][..]));
-        assert!(!items.contains(&&[1u32][..]));
-        assert_eq!(max.len(), 2);
     }
 
     #[test]
@@ -112,40 +63,19 @@ mod tests {
         assert!(items.contains(&&[1u32][..]));
         assert!(items.contains(&&[1u32, 2][..]));
         assert!(!items.contains(&&[2u32][..]));
-    }
 
-    #[test]
-    fn maximal_subset_of_closed() {
-        // Every maximal itemset is closed.
+        // {1} and {2} are not closed here ({1,2} has equal support).
         let sets = vec![
             fi(vec![1], 5),
             fi(vec![2], 5),
             fi(vec![1, 2], 5),
             fi(vec![3], 2),
         ];
-        let max = maximal(&sets);
-        let cl = closed(&sets);
-        for m in &max {
-            assert!(
-                cl.iter().any(|c| c.items == m.items),
-                "maximal {} missing from closed",
-                m.items
-            );
-        }
-        // And here {1} and {2} are not closed ({1,2} has equal support).
-        assert_eq!(cl.len(), 2);
+        assert_eq!(closed(&sets).len(), 2);
     }
 
     #[test]
     fn empty_input_passes_through() {
-        assert!(maximal(&[]).is_empty());
         assert!(closed(&[]).is_empty());
-    }
-
-    #[test]
-    fn containing_any_filters_by_item_predicate() {
-        let sets = vec![fi(vec![1, 2], 3), fi(vec![2], 4), fi(vec![3], 2)];
-        let kept = containing_any(&sets, &|i| i == 1 || i == 3);
-        assert_eq!(kept.len(), 2);
     }
 }

@@ -25,8 +25,6 @@ use crate::{min_count, Miner};
 #[derive(Debug, Clone)]
 pub struct FpGrowth {
     min_support: f64,
-    /// Optional cap on emitted itemset length (None = unbounded).
-    max_len: Option<usize>,
 }
 
 impl FpGrowth {
@@ -36,18 +34,7 @@ impl FpGrowth {
             min_support > 0.0 && min_support <= 1.0,
             "min_support must be in (0, 1], got {min_support}"
         );
-        FpGrowth {
-            min_support,
-            max_len: None,
-        }
-    }
-
-    /// Limit the length of emitted itemsets (useful for feature
-    /// extraction where only short patterns are wanted).
-    pub fn with_max_len(mut self, max_len: usize) -> Self {
-        assert!(max_len >= 1);
-        self.max_len = Some(max_len);
-        self
+        FpGrowth { min_support }
     }
 }
 
@@ -87,21 +74,14 @@ impl Miner for FpGrowth {
         let items_by_rank: Vec<ItemId> = frequent.iter().map(|&(it, _)| it).collect();
         let mut out = Vec::new();
         let mut suffix: Vec<u32> = Vec::new();
-        mine_tree(
-            &tree,
-            min_cnt,
-            self.max_len,
-            &mut suffix,
-            &mut |ranks, count| {
-                let mut items: Vec<ItemId> =
-                    ranks.iter().map(|&r| items_by_rank[r as usize]).collect();
-                items.sort_unstable();
-                out.push(FrequentItemset {
-                    items: Itemset::from_sorted(items),
-                    count,
-                });
-            },
-        );
+        mine_tree(&tree, min_cnt, &mut suffix, &mut |ranks, count| {
+            let mut items: Vec<ItemId> = ranks.iter().map(|&r| items_by_rank[r as usize]).collect();
+            items.sort_unstable();
+            out.push(FrequentItemset {
+                items: Itemset::from_sorted(items),
+                count,
+            });
+        });
         out
     }
 
@@ -220,19 +200,12 @@ impl FpTree {
 pub(crate) fn mine_tree(
     tree: &FpTree,
     min_cnt: u64,
-    max_len: Option<usize>,
     suffix: &mut Vec<u32>,
     emit: &mut impl FnMut(&[u32], u64),
 ) {
-    if let Some(limit) = max_len {
-        if suffix.len() >= limit {
-            return;
-        }
-    }
-
     // Single-path shortcut: emit every combination along the path.
     if let Some(path) = tree.single_path() {
-        emit_path_combinations(&path, min_cnt, max_len, suffix, emit);
+        emit_path_combinations(&path, min_cnt, suffix, emit);
         return;
     }
 
@@ -245,12 +218,8 @@ pub(crate) fn mine_tree(
         }
         suffix.push(rank);
         emit(suffix, total);
-
-        let proceed = max_len.is_none_or(|limit| suffix.len() < limit);
-        if proceed {
-            if let Some(cond) = conditional_tree(tree, rank, min_cnt) {
-                mine_tree(&cond, min_cnt, max_len, suffix, emit);
-            }
+        if let Some(cond) = conditional_tree(tree, rank, min_cnt) {
+            mine_tree(&cond, min_cnt, suffix, emit);
         }
         suffix.pop();
     }
@@ -291,7 +260,6 @@ pub(crate) fn conditional_tree(tree: &FpTree, rank: u32, min_cnt: u64) -> Option
 pub(crate) fn emit_path_combinations(
     path: &[(u32, u64)],
     min_cnt: u64,
-    max_len: Option<usize>,
     suffix: &mut Vec<u32>,
     emit: &mut impl FnMut(&[u32], u64),
 ) {
@@ -307,16 +275,9 @@ pub(crate) fn emit_path_combinations(
     if n == 0 {
         return;
     }
-    let budget = max_len.map(|limit| limit.saturating_sub(suffix.len()));
     // Enumerate subsets via bitmask; n is small in practice (tree depth).
     assert!(n < 64, "single path too long for subset enumeration");
     for mask in 1u64..(1u64 << n) {
-        let popcount = mask.count_ones() as usize;
-        if let Some(b) = budget {
-            if popcount > b {
-                continue;
-            }
-        }
         let mut count = u64::MAX;
         let before = suffix.len();
         for (i, &(rank, c)) in eligible.iter().enumerate() {
@@ -405,15 +366,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].items.items(), &[1]);
         assert_eq!(out[0].count, 3);
-    }
-
-    #[test]
-    fn max_len_caps_itemset_size() {
-        let db = TransactionDb::from_rows(vec![vec![1, 2, 3], vec![1, 2, 3]]);
-        let mut out = FpGrowth::new(0.5).with_max_len(2).mine(&db);
-        sort_canonical(&mut out);
-        assert!(out.iter().all(|f| f.items.len() <= 2));
-        assert_eq!(out.len(), 6, "3 singletons + 3 pairs");
     }
 
     #[test]

@@ -17,11 +17,9 @@
 //! property-test suite: on any input they must return identical itemsets
 //! with identical support counts.
 //!
-//! On top of raw itemsets the crate offers association-rule induction
-//! ([`rules`]) with confidence / lift / leverage / conviction, and
-//! maximal / closed filtering ([`filter`]) used by the cuisine-atlas
-//! Table I report, and direct closed-itemset mining with CHARM
-//! ([`charm`]), the test oracle for [`filter::closed`].
+//! On top of raw itemsets the crate offers closed filtering ([`filter`])
+//! used by the cuisine-atlas Table I report, and direct closed-itemset
+//! mining with CHARM ([`charm`]), the test oracle for [`filter::closed`].
 //! [`parallel::ParallelFpGrowth`] is a multi-threaded FP-Growth that
 //! partitions the search space by header-table item.
 //!
@@ -51,7 +49,6 @@ pub mod filter;
 pub mod fpgrowth;
 pub mod itemset;
 pub mod parallel;
-pub mod rules;
 pub mod transaction;
 
 pub use itemset::{FrequentItemset, ItemId, Itemset};

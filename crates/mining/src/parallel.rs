@@ -49,11 +49,6 @@ impl ParallelFpGrowth {
             n_threads: n_threads.max(1),
         }
     }
-
-    /// A miner sized to the machine's available parallelism.
-    pub fn with_available_parallelism(min_support: f64) -> Self {
-        Self::new(min_support, par::available())
-    }
 }
 
 impl Miner for ParallelFpGrowth {
@@ -118,7 +113,7 @@ impl Miner for ParallelFpGrowth {
                 };
                 emit(&suffix, total);
                 if let Some(cond) = conditional_tree(tree_ref, r, min_cnt) {
-                    mine_tree(&cond, min_cnt, None, &mut suffix, &mut emit);
+                    mine_tree(&cond, min_cnt, &mut suffix, &mut emit);
                 }
                 local
             });

@@ -133,18 +133,4 @@ proptest! {
             prop_assert_eq!(f.count, brute_count(&db, &f.items));
         }
     }
-
-    #[test]
-    fn max_len_is_a_pure_filter(db in arb_db()) {
-        prop_assume!(!db.is_empty());
-        let mut full: Vec<FrequentItemset> = FpGrowth::new(0.2)
-            .mine(&db)
-            .into_iter()
-            .filter(|f| f.items.len() <= 2)
-            .collect();
-        let mut capped = FpGrowth::new(0.2).with_max_len(2).mine(&db);
-        sort_canonical(&mut full);
-        sort_canonical(&mut capped);
-        prop_assert_eq!(full, capped);
-    }
 }

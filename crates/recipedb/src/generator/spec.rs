@@ -604,11 +604,6 @@ pub fn all_specs() -> Vec<CuisineSpec> {
 }
 
 impl MotifSpec {
-    /// Whether any item of this motif (not counting children) is a utensil.
-    pub fn has_utensil(&self) -> bool {
-        self.items.iter().any(|&(k, _)| k == ItemKind::Utensil)
-    }
-
     /// All items reachable from this motif including children.
     pub fn all_items(&self) -> Vec<(ItemKind, &'static str)> {
         let mut out = self.items.clone();

@@ -1,12 +1,11 @@
 //! Corpus (de)serialization: JSON round-trip and a compact CSV-like export
 //! of recipe transactions for interoperability with external tooling.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::cuisine::Cuisine;
 use crate::error::RecipeDbError;
-use crate::store::{RecipeDb, RecipeDbBuilder};
+use crate::store::RecipeDb;
 
 /// Serialize a corpus to pretty JSON.
 pub fn to_json(db: &RecipeDb) -> Result<String, RecipeDbError> {
@@ -63,59 +62,12 @@ pub fn export_transactions<W: Write>(db: &RecipeDb, writer: W) -> Result<(), Rec
     Ok(())
 }
 
-/// Import recipes from the flat transaction format written by
-/// [`export_transactions`]. Item kinds are inferred from a `kind:` prefix
-/// when present (`p:heat`, `u:bowl`), defaulting to ingredient. Plain
-/// exports therefore re-import with every item treated as an ingredient —
-/// lossy in kind, lossless in co-occurrence structure, which is all the
-/// mining pipeline consumes.
-pub fn import_transactions<R: Read>(reader: R) -> Result<RecipeDb, RecipeDbError> {
-    let mut builder = RecipeDbBuilder::new();
-    for (lineno, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (cuisine_name, rest) = line.split_once('\t').ok_or_else(|| {
-            RecipeDbError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("line {}: missing TAB separator", lineno + 1),
-            ))
-        })?;
-        let cuisine = Cuisine::from_name(cuisine_name).ok_or_else(|| {
-            RecipeDbError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("line {}: unknown cuisine {cuisine_name:?}", lineno + 1),
-            ))
-        })?;
-        let mut ingredients = Vec::new();
-        let mut processes = Vec::new();
-        let mut utensils = Vec::new();
-        for raw in rest.split('|').filter(|s| !s.is_empty()) {
-            if let Some(p) = raw.strip_prefix("p:") {
-                processes.push(builder.catalog_mut().intern_process(p));
-            } else if let Some(u) = raw.strip_prefix("u:") {
-                utensils.push(builder.catalog_mut().intern_utensil(u));
-            } else {
-                let name = raw.strip_prefix("i:").unwrap_or(raw);
-                ingredients.push(builder.catalog_mut().intern_ingredient(name));
-            }
-        }
-        builder.add_recipe(
-            format!("recipe-{}", lineno),
-            cuisine,
-            ingredients,
-            processes,
-            utensils,
-        );
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cuisine::Cuisine;
     use crate::model::Item;
+    use crate::store::RecipeDbBuilder;
 
     fn tiny_db() -> RecipeDb {
         let mut b = RecipeDbBuilder::new();
@@ -153,25 +105,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("Japanese\t"));
         assert!(lines[0].contains("soy sauce"));
-    }
-
-    #[test]
-    fn transaction_import_with_kind_prefixes() {
-        let text = "Japanese\ti:soy sauce|p:heat|u:wok\nThai\tfish sauce\n";
-        let db = import_transactions(text.as_bytes()).unwrap();
-        assert_eq!(db.recipe_count(), 2);
-        assert_eq!(db.catalog().ingredient_count(), 2);
-        assert_eq!(db.catalog().process_count(), 1);
-        assert_eq!(db.catalog().utensil_count(), 1);
-        assert_eq!(db.recipes_in(Cuisine::Japanese), 1);
-    }
-
-    #[test]
-    fn transaction_import_rejects_bad_lines() {
-        assert!(import_transactions("no-tab-here".as_bytes()).is_err());
-        assert!(import_transactions("Atlantis\tsalt".as_bytes()).is_err());
-        // Blank lines are fine.
-        assert!(import_transactions("\n\n".as_bytes()).is_ok());
     }
 
     #[test]

@@ -101,29 +101,6 @@ impl RecipeDb {
             .collect()
     }
 
-    /// Like [`RecipeDb::transactions_for`], but restricted to the given
-    /// item kinds — the basis of the "to what extent do processes and
-    /// utensils influence the relationships" ablation the paper leaves as
-    /// future work.
-    pub fn transactions_for_kinds(
-        &self,
-        cuisine: Cuisine,
-        kinds: &[crate::model::ItemKind],
-    ) -> Vec<Vec<TokenId>> {
-        self.cuisine_recipes(cuisine)
-            .map(|r| {
-                let mut toks: Vec<TokenId> = r
-                    .items()
-                    .filter(|it| kinds.contains(&it.kind()))
-                    .map(|it| self.catalog.token_of(it))
-                    .collect();
-                toks.sort_unstable();
-                toks.dedup();
-                toks
-            })
-            .collect()
-    }
-
     /// Tokenize one recipe into the unified token space (sorted, distinct).
     pub fn recipe_tokens(&self, recipe: &Recipe) -> Vec<TokenId> {
         let mut toks: Vec<TokenId> = recipe.items().map(|it| self.catalog.token_of(it)).collect();
@@ -375,21 +352,6 @@ mod tests {
         }
         // r0 has 4 items across kinds.
         assert_eq!(txs[0].len(), 4);
-    }
-
-    #[test]
-    fn kind_restricted_transactions() {
-        use crate::model::ItemKind;
-        let db = tiny_db();
-        let ing_only = db.transactions_for_kinds(Cuisine::Japanese, &[ItemKind::Ingredient]);
-        assert_eq!(ing_only[0].len(), 2, "r0 has 2 ingredients");
-        let full = db.transactions_for(Cuisine::Japanese);
-        assert_eq!(full[0].len(), 4);
-        let all_kinds = db.transactions_for_kinds(
-            Cuisine::Japanese,
-            &[ItemKind::Ingredient, ItemKind::Process, ItemKind::Utensil],
-        );
-        assert_eq!(all_kinds, full, "all kinds == unrestricted");
     }
 
     #[test]

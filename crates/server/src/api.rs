@@ -662,9 +662,8 @@ fn fingerprint_body(atlas: &CuisineAtlas, cuisine: Cuisine, k: usize) -> Result<
             cuisine.name()
         )));
     }
-    let matrix = atlas.authenticity_matrix();
     json_body(&FingerprintView::from_matrix(
-        &matrix,
+        atlas.authenticity_matrix(),
         atlas.db(),
         cuisine,
         k,

@@ -11,12 +11,14 @@ use std::time::{Duration, Instant, SystemTime};
 
 use crate::api::{self, AppState};
 use crate::error::ApiError;
-use crate::http::{read_request_limited, BodyLimits, ParseError};
+use crate::http::{read_body, read_head, BodyLimits, ParseError};
 use crate::pool::WorkerPool;
 use crate::router::Router;
 use crate::ServerConfig;
 
-/// How long a keep-alive connection may sit idle before being closed.
+/// How long a keep-alive connection may sit idle before being closed,
+/// how long any one read may wait, and how long a request's line and
+/// headers may take to arrive after its first byte.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// Requests served per connection before forcing a close.
 const MAX_REQUESTS_PER_CONNECTION: usize = 256;
@@ -265,6 +267,66 @@ fn accept_loop(
     }
 }
 
+/// The read side of a connection. Every read waits at most
+/// [`READ_TIMEOUT`]; while a request head is being read, reads also stop
+/// at the head's deadline, so a client that drips header bytes loses the
+/// worker [`READ_TIMEOUT`] after the request's first byte.
+struct Socket {
+    stream: TcpStream,
+    head: HeadClock,
+    /// The read timeout currently set on `stream`.
+    timeout: Duration,
+}
+
+/// The deadline for reading one request's line and headers.
+enum HeadClock {
+    /// Not reading a head (idle between requests, or reading a body).
+    Off,
+    /// Reading a head whose first byte has not arrived yet.
+    Armed,
+    /// Reading a head that must be complete by this instant.
+    Until(Instant),
+}
+
+impl Socket {
+    /// Start the head clock for the next request: now, if its first
+    /// bytes are already buffered, else when they arrive.
+    fn start_head(&mut self, buffered: bool) {
+        self.head = if buffered {
+            HeadClock::Until(Instant::now() + READ_TIMEOUT)
+        } else {
+            HeadClock::Armed
+        };
+    }
+}
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let timeout = match self.head {
+            HeadClock::Until(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        "request head not complete in time",
+                    ));
+                }
+                left
+            }
+            HeadClock::Off | HeadClock::Armed => READ_TIMEOUT,
+        };
+        if timeout != self.timeout {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.timeout = timeout;
+        }
+        let n = self.stream.read(buf)?;
+        if n > 0 && matches!(self.head, HeadClock::Armed) {
+            self.head = HeadClock::Until(Instant::now() + READ_TIMEOUT);
+        }
+        Ok(n)
+    }
+}
+
 /// Serve requests on one connection until it closes, errors, times out,
 /// or the server stops, recording metrics (and optionally a JSON-lines
 /// access-log entry) for every request.
@@ -278,7 +340,11 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
+        Ok(stream) => Socket {
+            stream,
+            head: HeadClock::Off,
+            timeout: READ_TIMEOUT,
+        },
         Err(_) => return,
     });
     let mut writer = stream;
@@ -286,7 +352,14 @@ fn handle_connection(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let request = match read_request_limited(&mut reader, &limits) {
+        let buffered = !reader.buffer().is_empty();
+        reader.get_mut().start_head(buffered);
+        let head = read_head(&mut reader);
+        reader.get_mut().head = HeadClock::Off;
+        let read = head.and_then(|mut request| {
+            read_body(&mut reader, &mut request, &limits).map(|()| request)
+        });
+        let request = match read {
             Ok(request) => request,
             Err(ParseError::ConnectionClosed) => break,
             Err(ParseError::Malformed(msg)) => {
@@ -436,6 +509,7 @@ pub fn prewarm_specs(state: &AppState, specs: &[PrewarmSpec]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
 
     #[test]
     fn client_response_parser_handles_status_and_body() {
@@ -565,6 +639,59 @@ mod tests {
         assert_eq!(head.matches("HTTP/1.1 ").count(), 1, "{head}");
         let text = state.metrics().render_prometheus("");
         assert!(text.contains("atlas_handler_panics_total 1\n"), "{text}");
+    }
+
+    #[test]
+    fn a_dripping_client_cannot_hold_the_only_worker() {
+        let server = ServerHandle::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        // One header line every 500 ms: each read succeeds well inside
+        // READ_TIMEOUT, so only a deadline on the whole head ends it.
+        let dripper = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let pace = Duration::from_millis(500);
+            stream.set_read_timeout(Some(pace)).unwrap();
+            stream.write_all(b"GET /health HTTP/1.1\r\n").unwrap();
+            let started = Instant::now();
+            let mut raw = Vec::new();
+            let mut chunk = [0u8; 4096];
+            for line in 1.. {
+                // Waiting for an answer paces the drip; once one arrives,
+                // read it to the end instead of writing more.
+                match stream.read(&mut chunk) {
+                    Ok(0) => break,
+                    Ok(n) => raw.extend_from_slice(&chunk[..n]),
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                    Err(_) => break,
+                }
+                if raw.is_empty() {
+                    let sent = stream.write_all(format!("X-Drip: {line}\r\n").as_bytes());
+                    if sent.is_err() || started.elapsed() >= 3 * READ_TIMEOUT {
+                        break;
+                    }
+                }
+            }
+            raw
+        });
+        // Let the dripper take the worker first.
+        std::thread::sleep(Duration::from_millis(200));
+        let started = Instant::now();
+        let (status, _) = server.get("/health").unwrap();
+        let waited = started.elapsed();
+        assert_eq!(status, 200);
+        assert!(
+            waited < READ_TIMEOUT + Duration::from_millis(1500),
+            "/health waited {waited:?} behind a dripping client"
+        );
+        let raw = dripper.join().unwrap();
+        assert_eq!(parse_client_response(&raw).unwrap().0, 400);
+        let text = server.state().metrics().render_prometheus("");
+        assert!(text.contains("atlas_parse_errors_total 1\n"), "{text}");
+        server.shutdown();
     }
 
     #[test]

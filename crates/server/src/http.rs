@@ -146,6 +146,14 @@ pub fn read_request_limited<R: BufRead>(
     reader: &mut R,
     limits: &BodyLimits,
 ) -> Result<Request, ParseError> {
+    let mut request = read_head(reader)?;
+    read_body(reader, &mut request, limits)?;
+    Ok(request)
+}
+
+/// Read a request's line and headers; the returned request's body is
+/// still empty (see [`read_body`]).
+pub(crate) fn read_head<R: BufRead>(reader: &mut R) -> Result<Request, ParseError> {
     let line = read_line(reader, MAX_REQUEST_LINE)?;
     if line.is_empty() {
         return Err(ParseError::ConnectionClosed);
@@ -196,7 +204,22 @@ pub fn read_request_limited<R: BufRead>(
             .ok_or_else(|| ParseError::Malformed(format!("bad header: {line}")))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
+    Ok(Request {
+        method,
+        path,
+        query,
+        headers,
+        body: Vec::new(),
+    })
+}
 
+/// Read the body that `request`'s headers announce, capped by its path.
+pub(crate) fn read_body<R: BufRead>(
+    reader: &mut R,
+    request: &mut Request,
+    limits: &BodyLimits,
+) -> Result<(), ParseError> {
+    let headers = &request.headers;
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
         return Err(ParseError::Malformed(
             "transfer-encoding is not supported".into(),
@@ -207,15 +230,15 @@ pub fn read_request_limited<R: BufRead>(
     if lengths.next().is_some() {
         return Err(ParseError::Malformed("duplicate content-length".into()));
     }
-    let body = match content_length {
+    request.body = match content_length {
         Some((_, v)) => {
             let len: usize = v
                 .parse()
                 .map_err(|_| ParseError::Malformed(format!("bad content-length: {v}")))?;
-            let limit = limits.for_path(&path);
+            let limit = limits.for_path(&request.path);
             if len > limit {
                 return Err(ParseError::BodyTooLarge {
-                    path,
+                    path: request.path.clone(),
                     limit,
                     advertised: len,
                 });
@@ -237,19 +260,15 @@ pub fn read_request_limited<R: BufRead>(
         }
         None => Vec::new(),
     };
-
-    Ok(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-    })
+    Ok(())
 }
 
 /// Read a CRLF- (or LF-) terminated line; empty string at EOF.
 fn read_line<R: BufRead>(reader: &mut R, max: usize) -> Result<String, ParseError> {
     let mut buf = Vec::new();
+    // Every byte counts against `max`, including the `\r`s that are not
+    // kept: otherwise a line of endless `\r` would never hit the cap.
+    let mut read = 0;
     loop {
         let mut byte = [0u8; 1];
         match std::io::Read::read(reader, &mut byte) {
@@ -261,7 +280,8 @@ fn read_line<R: BufRead>(reader: &mut R, max: usize) -> Result<String, ParseErro
                 if byte[0] != b'\r' {
                     buf.push(byte[0]);
                 }
-                if buf.len() > max {
+                read += 1;
+                if read > max {
                     return Err(ParseError::Malformed("line too long".into()));
                 }
             }
@@ -419,6 +439,14 @@ mod tests {
             parse("GET noslash HTTP/1.1\r\n\r\n").unwrap_err(),
             ParseError::Malformed(_)
         ));
+    }
+
+    #[test]
+    fn carriage_returns_count_against_the_line_cap() {
+        // Dropped `\r`s used to cost nothing, so a line of them never
+        // ended and an empty one read as the end of the headers.
+        let raw = format!("GET / HTTP/1.1\r\n{}\n", "\r".repeat(16 * 1024));
+        assert!(matches!(parse(&raw).unwrap_err(), ParseError::Malformed(_)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Corpus round-trip: generate a synthetic RecipeDB corpus, save it as
-//! JSON, export the flat transaction file, re-import everything, and show
-//! that the mining pipeline produces identical pattern counts over the
+//! JSON and reload it, export the flat transaction file, and show that
+//! the mining pipeline produces identical pattern counts over the
 //! reloaded corpus — i.e. the analysis is a pure function of the data.
 //!
 //! ```sh

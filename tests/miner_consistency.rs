@@ -1,7 +1,7 @@
 //! Cross-crate miner consistency: on real (synthetic-corpus) cuisine
 //! transactions — not just the small random databases of the property
-//! tests — all four miner implementations agree exactly, and the rule
-//! inducer scores are coherent with raw supports.
+//! tests — all four miner implementations agree exactly, and mined
+//! counts match direct support counting.
 
 use pattern_mining::apriori::Apriori;
 use pattern_mining::charm::Charm;
@@ -9,7 +9,6 @@ use pattern_mining::eclat::Eclat;
 use pattern_mining::fpgrowth::FpGrowth;
 use pattern_mining::itemset::sort_canonical;
 use pattern_mining::parallel::ParallelFpGrowth;
-use pattern_mining::rules::{induce_rules, RuleConfig};
 use pattern_mining::transaction::TransactionDb;
 use pattern_mining::Miner;
 use recipedb::generator::{CorpusGenerator, GeneratorConfig};
@@ -80,57 +79,6 @@ fn mined_counts_match_direct_support_counting() {
             .count() as u64;
         assert_eq!(f.count, brute, "{}", f.items);
     }
-}
-
-#[test]
-fn rules_are_consistent_with_itemset_supports() {
-    let db = corpus();
-    let tdb = transactions(&db, Cuisine::Korean);
-    let itemsets = FpGrowth::new(0.2).mine(&tdb);
-    let rules = induce_rules(
-        &itemsets,
-        tdb.len(),
-        &RuleConfig {
-            min_confidence: 0.1,
-            min_lift: 0.0,
-        },
-    );
-    assert!(!rules.is_empty(), "Korean motifs must induce rules");
-    for r in &rules {
-        assert!(
-            (0.0..=1.0 + 1e-9).contains(&r.confidence),
-            "confidence {}",
-            r.confidence
-        );
-        assert!(
-            r.support <= r.confidence + 1e-9,
-            "supp {} > conf {}",
-            r.support,
-            r.confidence
-        );
-        assert!(r.lift >= 0.0);
-        // Confidence >= support of the union (since supp(A) <= 1).
-        assert!(r.confidence + 1e-9 >= r.support);
-    }
-    // The signature implication: sesame oil ⇒ soy sauce at high confidence
-    // (soy sauce co-occurs in the Korean motif).
-    let cat = db.catalog();
-    let soy = cat
-        .token_of(recipedb::Item::Ingredient(
-            cat.ingredient("soy sauce").unwrap(),
-        ))
-        .0;
-    let sesame = cat
-        .token_of(recipedb::Item::Ingredient(
-            cat.ingredient("sesame oil").unwrap(),
-        ))
-        .0;
-    let rule = rules
-        .iter()
-        .find(|r| r.antecedent.items() == [sesame] && r.consequent.items() == [soy])
-        .expect("sesame oil => soy sauce rule");
-    assert!(rule.confidence > 0.8, "confidence {}", rule.confidence);
-    assert!(rule.lift > 1.5, "lift {}", rule.lift);
 }
 
 #[test]
