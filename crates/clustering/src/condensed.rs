@@ -5,12 +5,10 @@
 //! of `scipy.spatial.distance.pdist`, which the paper feeds to its
 //! hierarchical clustering.
 
-use serde::{Deserialize, Serialize};
-
 use crate::distance::Metric;
 
 /// A condensed (upper-triangle) pairwise distance matrix over `n` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CondensedMatrix {
     n: usize,
     data: Vec<f64>,

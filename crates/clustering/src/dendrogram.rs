@@ -4,13 +4,11 @@
 //! Built from the [`crate::hac::Merge`] sequence. This is the structure
 //! behind the paper's Figures 2–6.
 
-use serde::{Deserialize, Serialize};
-
 use crate::condensed::CondensedMatrix;
 use crate::hac::Merge;
 
 /// A node of the dendrogram.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// An original observation.
     Leaf {
@@ -33,7 +31,7 @@ pub enum Node {
 /// A binary merge tree over `n` leaves, stored as an arena: nodes
 /// `0..n` are leaves, node `n + t` is the cluster created by merge `t`,
 /// and the root is the last node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
     n_leaves: usize,
     nodes: Vec<Node>,

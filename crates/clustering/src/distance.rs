@@ -3,12 +3,10 @@
 //! The paper clusters cuisines under Euclidean, Cosine and Jaccard
 //! distances (its equations 3–5 are informal; we implement the standard
 //! definitions, which is also what the paper's scipy `pdist` call
-//! computes). Manhattan and Hamming are included for ablations.
-
-use serde::{Deserialize, Serialize};
+//! computes).
 
 /// A distance metric over `f64` vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// `sqrt(Σ (aᵢ − bᵢ)²)`.
     Euclidean,
@@ -18,21 +16,11 @@ pub enum Metric {
     /// On the supports (non-zero coordinates): `1 − |A∩B| / |A∪B|`;
     /// 0 when both vectors are all-zero.
     Jaccard,
-    /// `Σ |aᵢ − bᵢ|`.
-    Manhattan,
-    /// Number of coordinates at which the vectors differ.
-    Hamming,
 }
 
 impl Metric {
     /// All metrics, for sweeps.
-    pub const ALL: [Metric; 5] = [
-        Metric::Euclidean,
-        Metric::Cosine,
-        Metric::Jaccard,
-        Metric::Manhattan,
-        Metric::Hamming,
-    ];
+    pub const ALL: [Metric; 3] = [Metric::Euclidean, Metric::Cosine, Metric::Jaccard];
 
     /// Human-readable name.
     pub fn name(self) -> &'static str {
@@ -40,8 +28,6 @@ impl Metric {
             Metric::Euclidean => "euclidean",
             Metric::Cosine => "cosine",
             Metric::Jaccard => "jaccard",
-            Metric::Manhattan => "manhattan",
-            Metric::Hamming => "hamming",
         }
     }
 
@@ -58,12 +44,6 @@ impl Metric {
                 .map(|(x, y)| (x - y) * (x - y))
                 .sum::<f64>()
                 .sqrt(),
-            Metric::Manhattan => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
-            Metric::Hamming => a
-                .iter()
-                .zip(b)
-                .filter(|(x, y)| (*x - *y).abs() > f64::EPSILON)
-                .count() as f64,
             Metric::Cosine => {
                 let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
                 let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -152,15 +132,6 @@ mod tests {
     fn euclidean_basics() {
         assert!((Metric::Euclidean.distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(Metric::Euclidean.distance(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn manhattan_and_hamming() {
-        assert!((Metric::Manhattan.distance(&[1.0, -1.0], &[0.0, 1.0]) - 3.0).abs() < 1e-12);
-        assert_eq!(
-            Metric::Hamming.distance(&[1.0, 2.0, 3.0], &[1.0, 0.0, 3.0]),
-            1.0
-        );
     }
 
     #[test]

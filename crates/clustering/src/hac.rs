@@ -18,12 +18,10 @@
 //! Cluster labels follow the scipy convention: leaves are `0..n`, the
 //! cluster created by merge step `t` is `n + t`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::condensed::CondensedMatrix;
 
 /// Linkage method for HAC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkageMethod {
     /// Minimum pairwise distance (chaining-prone; MST fast path).
     Single,
@@ -112,7 +110,7 @@ impl std::fmt::Display for LinkageMethod {
 }
 
 /// One agglomeration step (a row of scipy's `Z` matrix).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Merge {
     /// Label of the first merged cluster (`< n` means leaf).
     pub a: usize,

@@ -5,8 +5,8 @@
 //! reproduction. It provides the pieces the paper gets from scipy /
 //! scikit-learn, re-implemented and tested:
 //!
-//! * [`distance`] — Euclidean, Cosine, Jaccard (the paper's three
-//!   metrics), plus Manhattan and Hamming;
+//! * [`distance`] — Euclidean, Cosine and Jaccard, the paper's three
+//!   metrics;
 //! * [`condensed`] — `pdist`-style condensed distance matrices;
 //! * [`hac`] — agglomerative clustering with single / complete / average /
 //!   weighted / ward / centroid / median linkage via the Lance–Williams

@@ -2,11 +2,10 @@
 //! after Ahn et al., *Flavor network and the principles of food pairing*
 //! (Scientific Reports, 2011).
 //!
-//! The prevalence of item `i` in cuisine `c` is the fraction of `c`'s
-//! recipes containing `i` (the paper's equation 1 is ambiguous about the
-//! normaliser; Ahn et al.'s per-cuisine normalisation is used, with the
-//! corpus-wide variant available through
-//! [`AuthenticityMatrix::with_normalizer`]). The **relative prevalence**
+//! The prevalence of ingredient `i` in cuisine `c` is the fraction of
+//! `c`'s recipes containing `i`, `P_i^c = n_i^c / N^c` (the paper's
+//! equation 1 is ambiguous about the normaliser; Ahn et al.'s
+//! per-cuisine normalisation is used). The **relative prevalence**
 //! (authenticity) is `p_i^c = P_i^c − ⟨P_i^k⟩_{k≠c}` — positive for items
 //! over-represented in `c`, negative for items conspicuously absent; both
 //! tails carry signal, which is why the fingerprint keeps the sign.
@@ -15,15 +14,6 @@ use std::collections::HashMap;
 
 use recipedb::catalog::TokenId;
 use recipedb::{Cuisine, ItemKind, RecipeDb};
-
-/// Which recipe count normalises prevalence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Normalizer {
-    /// Per-cuisine recipe count (Ahn et al.; default).
-    PerCuisine,
-    /// Corpus-wide recipe count (the paper's literal equation 1).
-    CorpusWide,
-}
 
 /// Cuisines × items prevalence and relative-prevalence matrices.
 ///
@@ -44,41 +34,13 @@ pub struct AuthenticityMatrix {
 
 impl AuthenticityMatrix {
     /// Build over the ingredients of the corpus (the paper's Figure 5 is
-    /// "dominantly based on ingredients"), per-cuisine normalised.
-    pub fn ingredients(db: &RecipeDb) -> Self {
-        Self::with_normalizer(db, &[ItemKind::Ingredient], Normalizer::PerCuisine)
-    }
-
-    /// [`AuthenticityMatrix::ingredients`] restricted to an explicit
-    /// cuisine list (rows in list order) — for corpora covering only a
-    /// subset of the 26 cuisines.
+    /// "dominantly based on ingredients") for an explicit cuisine list,
+    /// rows in list order — `Cuisine::ALL`, or the subset present in an
+    /// uploaded corpus. For a single-cuisine corpus there are no "other
+    /// cuisines", so relative prevalence equals prevalence rather than
+    /// dividing by zero.
     pub fn ingredients_over(db: &RecipeDb, cuisines: &[Cuisine]) -> Self {
-        Self::with_normalizer_over(
-            db,
-            cuisines,
-            &[ItemKind::Ingredient],
-            Normalizer::PerCuisine,
-        )
-    }
-
-    /// Build over any subset of item kinds with an explicit normaliser.
-    pub fn with_normalizer(db: &RecipeDb, kinds: &[ItemKind], norm: Normalizer) -> Self {
-        Self::with_normalizer_over(db, &Cuisine::ALL, kinds, norm)
-    }
-
-    /// [`AuthenticityMatrix::with_normalizer`] over an explicit cuisine
-    /// list. With `cuisines == Cuisine::ALL` the result is identical to
-    /// the unrestricted form; for a single-cuisine corpus there are no
-    /// "other cuisines", so relative prevalence equals prevalence rather
-    /// than dividing by zero.
-    pub fn with_normalizer_over(
-        db: &RecipeDb,
-        cuisines: &[Cuisine],
-        kinds: &[ItemKind],
-        norm: Normalizer,
-    ) -> Self {
         let n_cuisines = cuisines.len();
-        let corpus_total = db.recipe_count().max(1) as f64;
 
         // Count, per cuisine, in how many recipes each token occurs.
         let mut columns: HashMap<TokenId, usize> = HashMap::new();
@@ -87,7 +49,7 @@ impl AuthenticityMatrix {
             let freq = db.item_frequencies(c);
             for (&tok, _) in freq.iter() {
                 let kind = db.catalog().kind_of(tok).expect("token in catalog");
-                if kinds.contains(&kind) {
+                if kind == ItemKind::Ingredient {
                     let next = columns.len();
                     columns.entry(tok).or_insert(next);
                 }
@@ -105,10 +67,7 @@ impl AuthenticityMatrix {
 
         let mut prevalence = vec![vec![0.0; items.len()]; n_cuisines];
         for (row, (&cuisine, freq)) in prevalence.iter_mut().zip(cuisines.iter().zip(&counts)) {
-            let denom = match norm {
-                Normalizer::PerCuisine => db.recipes_in(cuisine).max(1) as f64,
-                Normalizer::CorpusWide => corpus_total,
-            };
+            let denom = db.recipes_in(cuisine).max(1) as f64;
             for (&tok, &n) in freq {
                 if let Some(&j) = col_of.get(&tok) {
                     row[j] = n as f64 / denom;
@@ -205,7 +164,7 @@ mod tests {
 
     #[test]
     fn prevalence_rows_are_probabilities() {
-        let m = AuthenticityMatrix::ingredients(&db());
+        let m = AuthenticityMatrix::ingredients_over(&db(), &Cuisine::ALL);
         assert!(m.n_items() > 100);
         for row in &m.prevalence {
             assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -216,7 +175,7 @@ mod tests {
     fn relative_prevalence_sums_to_zero_per_column() {
         // Σ_c (P_c − mean_{k≠c} P_k) = Σ_c P_c − Σ_c (T − P_c)/(n−1)
         //   = T − (nT − T)/(n−1) = 0.
-        let m = AuthenticityMatrix::ingredients(&db());
+        let m = AuthenticityMatrix::ingredients_over(&db(), &Cuisine::ALL);
         for j in (0..m.n_items()).step_by(97) {
             let s: f64 = m.relative.iter().map(|row| row[j]).sum();
             assert!(s.abs() < 1e-9, "column {j} sums to {s}");
@@ -226,11 +185,15 @@ mod tests {
     #[test]
     fn soy_sauce_is_most_authentic_to_east_asia() {
         let db = db();
-        let m = AuthenticityMatrix::ingredients(&db);
+        let m = AuthenticityMatrix::ingredients_over(&db, &Cuisine::ALL);
         let soy = db.catalog().token_of(recipedb::Item::Ingredient(
             db.catalog().ingredient("soy sauce").unwrap(),
         ));
         let col = m.items.iter().position(|&t| t == soy).expect("soy column");
+        assert_eq!(
+            m.index_of(Cuisine::Japanese),
+            Some(Cuisine::Japanese.index())
+        );
         let jp = m.relative[Cuisine::Japanese.index()][col];
         let uk = m.relative[Cuisine::UK.index()][col];
         assert!(jp > 0.3, "soy authentic to Japan, got {jp}");
@@ -247,44 +210,9 @@ mod tests {
     #[test]
     fn least_authentic_is_negative_for_signature_items_elsewhere() {
         let db = db();
-        let m = AuthenticityMatrix::ingredients(&db);
+        let m = AuthenticityMatrix::ingredients_over(&db, &Cuisine::ALL);
         let least = m.least_authentic(Cuisine::UK, 10);
         assert!(least.iter().all(|&(_, v)| v < 0.0));
-    }
-
-    #[test]
-    fn corpus_wide_normalizer_scales_down_small_cuisines() {
-        let db = db();
-        let per = AuthenticityMatrix::with_normalizer(
-            &db,
-            &[ItemKind::Ingredient],
-            Normalizer::PerCuisine,
-        );
-        let corpus = AuthenticityMatrix::with_normalizer(
-            &db,
-            &[ItemKind::Ingredient],
-            Normalizer::CorpusWide,
-        );
-        // Corpus-wide prevalence never exceeds per-cuisine prevalence.
-        for (rp, rc) in per.prevalence.iter().zip(&corpus.prevalence) {
-            for (&p, &c) in rp.iter().zip(rc) {
-                assert!(c <= p + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn over_all_cuisines_is_identical_to_unrestricted() {
-        let db = db();
-        let full = AuthenticityMatrix::ingredients(&db);
-        let over = AuthenticityMatrix::ingredients_over(&db, &Cuisine::ALL);
-        assert_eq!(full.items, over.items);
-        assert_eq!(full.prevalence, over.prevalence);
-        assert_eq!(full.relative, over.relative);
-        assert_eq!(
-            over.index_of(Cuisine::Japanese),
-            Some(Cuisine::Japanese.index())
-        );
     }
 
     #[test]
@@ -305,13 +233,7 @@ mod tests {
     #[test]
     fn kinds_filter_restricts_columns() {
         let db = db();
-        let ing = AuthenticityMatrix::ingredients(&db);
-        let all = AuthenticityMatrix::with_normalizer(
-            &db,
-            &[ItemKind::Ingredient, ItemKind::Process, ItemKind::Utensil],
-            Normalizer::PerCuisine,
-        );
-        assert!(all.n_items() > ing.n_items());
+        let ing = AuthenticityMatrix::ingredients_over(&db, &Cuisine::ALL);
         for &tok in &ing.items {
             assert_eq!(
                 db.catalog().kind_of(tok),

@@ -125,7 +125,7 @@ pub fn mine_all(db: &RecipeDb, min_support: f64) -> Vec<CuisinePatterns> {
 /// corpora may cover only a subset of the 26 cuisines — fanned out over
 /// `threads` workers. Cuisines are claimed largest-first (recipe counts
 /// span Korean's 668 to Italian's 16k at full scale), and cuisines above
-/// [`LARGE_CUISINE_RECIPES`] recipes additionally run the multi-threaded
+/// `LARGE_CUISINE_RECIPES` (4096) recipes additionally run the multi-threaded
 /// FP-Growth so the biggest mining job cannot dominate the critical path.
 /// Per-cuisine wall-clock spans (`mine/Italian`, ...) are reported to
 /// `sink` as each cuisine finishes. The output is identical for any

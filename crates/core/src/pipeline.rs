@@ -23,7 +23,6 @@ use clustering::hac::{linkage, LinkageMethod};
 use clustering::kmeans::elbow_sweep_threads;
 use recipedb::generator::{CorpusGenerator, GeneratorConfig};
 use recipedb::{Cuisine, RecipeDb};
-use serde::{Deserialize, Serialize};
 
 use crate::authenticity::AuthenticityMatrix;
 use crate::features::PatternFeatures;
@@ -129,7 +128,7 @@ pub(crate) fn spanned<T>(sink: &dyn SpanSink, name: &str, f: impl FnOnce() -> T)
 /// Wall-clock cost of each [`CuisineAtlas::build`] stage, in
 /// milliseconds. Surfaced by the server's `/health` endpoint. Assembled
 /// from the same measurements that flow to the build's [`SpanSink`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BuildTimings {
     /// Corpus generation.
     pub generate_ms: f64,
@@ -165,12 +164,11 @@ struct DistanceCaches {
 }
 
 impl DistanceCaches {
-    fn pattern_slot(&self, metric: Metric) -> Option<&OnceLock<CondensedMatrix>> {
+    fn pattern_slot(&self, metric: Metric) -> &OnceLock<CondensedMatrix> {
         match metric {
-            Metric::Euclidean => Some(&self.euclidean),
-            Metric::Cosine => Some(&self.cosine),
-            Metric::Jaccard => Some(&self.jaccard),
-            _ => None,
+            Metric::Euclidean => &self.euclidean,
+            Metric::Cosine => &self.cosine,
+            Metric::Jaccard => &self.jaccard,
         }
     }
 }
@@ -193,19 +191,10 @@ pub struct CuisineTree {
 }
 
 impl CuisineTree {
-    /// Grow a tree over all 26 cuisines from a distance matrix (public
-    /// for the extension experiments; the atlas methods below are the
-    /// primary constructors).
-    pub fn from_distances(
-        description: String,
-        distances: CondensedMatrix,
-        method: LinkageMethod,
-    ) -> Self {
-        Self::grow(description, Cuisine::ALL.to_vec(), distances, method)
-    }
-
-    /// [`CuisineTree::from_distances`] with an explicit leaf-cuisine list
-    /// matching the distance matrix.
+    /// Grow a tree over `cuisines` from their distance matrix (leaf `i`
+    /// is `cuisines[i]`). The snapshot decoder uses it to check each
+    /// stored tree against its Newick; the atlas methods below are the
+    /// primary constructors.
     pub fn from_distances_over(
         description: String,
         cuisines: Vec<Cuisine>,
@@ -466,10 +455,10 @@ impl CuisineAtlas {
             }
             _ => CondensedMatrix::par_pdist(&self.features.binary, metric, threads),
         };
-        match self.caches.pattern_slot(metric) {
-            Some(slot) => slot.get_or_init(compute).clone(),
-            None => compute(),
-        }
+        self.caches
+            .pattern_slot(metric)
+            .get_or_init(compute)
+            .clone()
     }
 
     /// **Figure 5** — the authenticity-based tree over ingredient

@@ -380,7 +380,7 @@ pub struct AtlasPeek {
 }
 
 /// Serialize a built atlas. `corpus_digest` is the
-/// [`corpus_digest`](recipedb::digest::corpus_digest) of the atlas's
+/// [`corpus_digest`] of the atlas's
 /// corpus; it is the snapshot's corpus reference, checked again at
 /// decode time.
 pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {

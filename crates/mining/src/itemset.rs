@@ -1,12 +1,10 @@
 //! Itemset types shared by every miner.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense item identifier. The `recipedb` catalog maps token names to these.
 pub type ItemId = u32;
 
 /// A sorted, duplicate-free set of items.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Itemset(Vec<ItemId>);
 
 impl Itemset {
@@ -154,7 +152,7 @@ impl std::fmt::Display for Itemset {
 }
 
 /// A frequent itemset with its exact support count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequentItemset {
     /// The items.
     pub items: Itemset,

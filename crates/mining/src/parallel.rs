@@ -20,7 +20,7 @@
 //!   naive ascending claim order starts the heaviest trees *last* and ends
 //!   the run with one straggler thread grinding through them alone.
 //!   Ranks are instead claimed in descending estimated cost
-//!   ([`FpTree::rank_costs`]: total conditional-base path length), the
+//!   (`FpTree::rank_costs`: total conditional-base path length), the
 //!   classic longest-processing-time-first heuristic. The claim order
 //!   affects wall-clock only, never the result.
 

@@ -2,13 +2,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::itemset::ItemId;
 
 /// An immutable database of transactions. Each transaction is stored as a
 /// sorted, duplicate-free list of item ids.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransactionDb {
     rows: Vec<Vec<ItemId>>,
 }

@@ -25,7 +25,7 @@ pub struct ProcessId(pub u32);
 pub struct UtensilId(pub u32);
 
 /// The three kinds of entities a recipe is composed of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ItemKind {
     /// A food ingredient ("soy sauce", "butter", ...).
     Ingredient,
@@ -61,7 +61,7 @@ impl std::fmt::Display for ItemKind {
 /// transaction per recipe; `Item` preserves the kind so the same surface
 /// string can exist as, say, both an ingredient and a process without
 /// colliding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Item {
     /// An ingredient reference.
     Ingredient(IngredientId),

@@ -1,8 +1,6 @@
 //! Corpus-level statistics mirroring the figures quoted in the paper's
 //! Data Collection section (Section III).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cuisine::Cuisine;
 use crate::store::RecipeDb;
 
@@ -12,7 +10,7 @@ use crate::store::RecipeDb;
 /// 118,071 recipes; 20,280 unique ingredients; 268 unique processes;
 /// 69 unique utensils; ~10 ingredients, ~12 processes, ~3 utensils per
 /// recipe; 14,601 recipes with no utensil information.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusStats {
     /// Total recipes in the corpus.
     pub total_recipes: usize,

@@ -25,13 +25,12 @@ use recipedb::{Cuisine, RecipeDbError};
 use serde::Serialize;
 use serde_json::json;
 
-use crate::cache::{AtlasCache, CacheKey};
+use crate::cache::{CacheKey, Lookup, Lru};
 use crate::corpus::{CorpusInfo, CorpusRegistry};
 use crate::error::ApiError;
 use crate::http::{Request, Response};
 use crate::metrics::MetricsRegistry;
 use crate::router::{PathParams, Router};
-use crate::singleflight::SingleFlight;
 
 /// Largest corpus scale the server will build on demand.
 const MAX_SCALE: f64 = 1.0;
@@ -50,14 +49,15 @@ const MAX_BATCH_ARTIFACTS: usize = 32;
 const DEFAULT_MAX_CORPORA: usize = 8;
 /// Digest-prefix length used as the per-corpus metrics label.
 const CORPUS_LABEL_LEN: usize = 12;
+/// The per-corpus metrics label of the synthetic generator's corpora.
+const SYNTHETIC_LABEL: &str = "synthetic";
 
-/// Shared state behind every handler: the atlas cache, the
-/// single-flight table guarding cold builds, the uploaded-corpus
-/// registry, the optional persistent snapshot store, and the metrics
-/// registry every request reports into.
+/// Shared state behind every handler: the atlas cache (which also
+/// deduplicates concurrent cold builds), the uploaded-corpus registry,
+/// the optional persistent snapshot store, and the metrics registry
+/// every request reports into.
 pub struct AppState {
-    cache: AtlasCache<CuisineAtlas>,
-    flight: SingleFlight<CacheKey, CuisineAtlas>,
+    cache: Lru<CacheKey, CuisineAtlas>,
     corpora: CorpusRegistry,
     store: Option<Arc<SnapshotStore>>,
     corpus_ttl: Option<Duration>,
@@ -105,8 +105,7 @@ impl AppState {
         corpus_ttl: Option<Duration>,
     ) -> Self {
         let state = AppState {
-            cache: AtlasCache::new(cache_capacity),
-            flight: SingleFlight::new(),
+            cache: Lru::new(cache_capacity),
             corpora: CorpusRegistry::new(max_corpora),
             store,
             corpus_ttl,
@@ -163,14 +162,14 @@ impl AppState {
         }
     }
 
-    /// Number of atlas builds performed since startup. Single-flight
-    /// makes this strictly smaller than the number of cold requests
-    /// under concurrency.
+    /// Number of atlas builds performed since startup. The cache builds
+    /// each key once, which makes this strictly smaller than the number
+    /// of cold requests under concurrency.
     pub fn build_count(&self) -> usize {
         self.metrics.build_total() as usize
     }
 
-    /// Per-stage timings of up to the last [`RECENT_BUILDS`] cold
+    /// Per-stage timings of up to the last `RECENT_BUILDS` (8) cold
     /// builds, most recent first.
     pub fn recent_build_timings(&self) -> Vec<BuildTimings> {
         self.recent_timings
@@ -228,16 +227,20 @@ impl AppState {
 
     /// Remove a corpus everywhere it lives: the registry, the atlas
     /// cache, and the snapshot store (its corpus file plus every atlas
-    /// snapshot built from it).
+    /// snapshot built from it). The corpus file goes first: a build
+    /// persists an upload's atlas only while that file is stored.
     pub fn purge_corpus(&self, digest: &str) -> CorpusRemoval {
         let registered = self.corpora.remove(digest);
-        let cached_atlases = self.cache.remove_corpus(digest);
-        let (atlas_snapshots, corpus_snapshot) = match &self.store {
+        self.prune_corpus_labels();
+        let cached_atlases = self
+            .cache
+            .remove_where(|k| k.corpus_digest() == Some(digest));
+        let (corpus_snapshot, atlas_snapshots) = match &self.store {
             Some(store) => (
-                store.remove_atlases_for_corpus(digest),
                 store.remove_corpus(digest),
+                store.remove_atlases_for_corpus(digest),
             ),
-            None => (0, false),
+            None => (false, 0),
         };
         CorpusRemoval {
             registered,
@@ -245,6 +248,21 @@ impl AppState {
             atlas_snapshots,
             corpus_snapshot,
         }
+    }
+
+    /// Drop the per-corpus build series of corpora that left the
+    /// registry, so `/metrics` keeps one series per registered upload
+    /// (plus the synthetic corpus's).
+    fn prune_corpus_labels(&self) {
+        let live: Vec<String> = self
+            .corpora
+            .infos()
+            .iter()
+            .map(|i| corpus_label(&i.digest))
+            .collect();
+        self.metrics.retain_builds_by_corpus(|label| {
+            label == SYNTHETIC_LABEL || live.iter().any(|l| l == label)
+        });
     }
 
     /// Sweep uploaded corpora past the configured TTL (a lazy sweep run
@@ -272,9 +290,9 @@ impl AppState {
     /// The atlas for `config` over an explicit corpus (`None` = the
     /// synthetic generator) — cached, or built once even under
     /// concurrent identical requests. Uploaded and generated corpora
-    /// share one cache and one single-flight table; their keys differ
-    /// by corpus digest. The server's `build_threads` setting overrides
-    /// the config's: thread count never changes the built atlas (see
+    /// share one cache; their keys differ by corpus digest. The
+    /// server's `build_threads` setting overrides the config's: thread
+    /// count never changes the built atlas (see
     /// `cuisine_atlas::pipeline`), only its wall-clock cost, so it is
     /// deliberately not part of the cache key.
     pub fn atlas_for(
@@ -286,48 +304,49 @@ impl AppState {
             Some(info) => CacheKey::for_corpus(&info.digest, config),
             None => CacheKey::from_config(config),
         };
-        if let Some(atlas) = self.cache.get(&key) {
-            self.metrics.record_cache_hit();
-            return atlas;
-        }
-        self.metrics.record_cache_miss();
-        let (atlas, led) = self.flight.work_flagged(&key, || {
-            // Tier 2: a disk snapshot. A restore touches none of the
-            // build counters — that absence is the warm-restart
-            // acceptance signal (`builds == 0` after a restart).
-            if let Some(restored) = self.try_restore(&key, corpus) {
-                return restored;
-            }
-            // Tier 3: a cold build, written through to the store.
-            self.metrics.record_build();
-            self.metrics.record_build_for_corpus(&match corpus {
-                Some(info) => corpus_label(&info.digest),
-                None => "synthetic".to_string(),
-            });
-            let build_config = config.clone().with_build_threads(self.build_threads);
-            let built = match corpus {
-                Some(info) => CuisineAtlas::from_shared_with_sink(
-                    Arc::clone(&info.db),
-                    &build_config,
-                    &self.metrics,
-                ),
-                None => CuisineAtlas::build_with_sink(&build_config, &self.metrics),
-            };
-            let mut recent = self.recent_timings.write().unwrap();
-            if recent.len() == RECENT_BUILDS {
-                recent.pop_front();
-            }
-            recent.push_back(built.timings());
-            drop(recent);
-            self.persist_snapshot(&key, &built);
-            built
-        });
-        if !led {
-            self.metrics.record_dedup();
+        let (atlas, lookup, evicted) = self.cache.get_or_build(
+            &key,
+            || self.metrics.record_cache_miss(),
+            || {
+                // Tier 2: a disk snapshot. A restore touches none of
+                // the build counters — that absence is the warm-restart
+                // acceptance signal (`builds == 0` after a restart).
+                if let Some(restored) = self.try_restore(&key, corpus) {
+                    return restored;
+                }
+                // Tier 3: a cold build, written through to the store.
+                self.metrics.record_build();
+                self.metrics.record_build_for_corpus(&match corpus {
+                    Some(info) => corpus_label(&info.digest),
+                    None => SYNTHETIC_LABEL.to_string(),
+                });
+                let build_config = config.clone().with_build_threads(self.build_threads);
+                let built = match corpus {
+                    Some(info) => CuisineAtlas::from_shared_with_sink(
+                        Arc::clone(&info.db),
+                        &build_config,
+                        &self.metrics,
+                    ),
+                    None => CuisineAtlas::build_with_sink(&build_config, &self.metrics),
+                };
+                let mut recent = self.recent_timings.write().unwrap();
+                if recent.len() == RECENT_BUILDS {
+                    recent.pop_front();
+                }
+                recent.push_back(built.timings());
+                drop(recent);
+                self.persist_snapshot(&key, &built);
+                built
+            },
+        );
+        match lookup {
+            Lookup::Hit => self.metrics.record_cache_hit(),
+            Lookup::Waited => self.metrics.record_dedup(),
+            Lookup::Built => {}
         }
         // Spill LRU evictions to disk so a hot cache can shrink without
         // losing work (a no-op for snapshots already written through).
-        for (old_key, old_atlas) in self.cache.insert(key, Arc::clone(&atlas)) {
+        for (old_key, old_atlas) in evicted {
             self.persist_snapshot(&old_key, &old_atlas);
         }
         atlas
@@ -388,38 +407,32 @@ impl AppState {
         }
     }
 
-    /// Persist a built atlas and, if missing, the corpus it was built
-    /// from. Best-effort: a failed disk write never fails the request
-    /// that triggered it.
+    /// Persist a built atlas. A generated corpus is persisted first
+    /// when missing, so no stored atlas references a corpus the store
+    /// has no chance of holding. An upload's corpus file is written only
+    /// by the upload itself, and its atlas is persisted only while that
+    /// file is stored, so a purge during the build is not undone.
+    /// Best-effort: a failed disk write never fails the request that
+    /// triggered it.
     fn persist_snapshot(&self, key: &CacheKey, atlas: &CuisineAtlas) {
         let Some(store) = &self.store else { return };
         let digest = match key.corpus_digest() {
-            Some(d) => d.to_string(),
-            None => recipedb::corpus_digest(atlas.db()),
-        };
-        // The corpus first, so no stored atlas ever references a corpus
-        // the store has no chance of holding.
-        if !store.contains_corpus(&digest) {
-            let (origin, upload_bytes) = match key.corpus_digest() {
-                Some(d) => (
-                    CorpusOrigin::Uploaded,
-                    self.corpora
-                        .infos()
-                        .iter()
-                        .find(|i| i.digest == d)
-                        .map_or(0, |i| i.bytes as u64),
-                ),
-                None => (CorpusOrigin::Generated, 0),
-            };
-            match snapshot::encode_corpus(atlas.db(), origin, upload_bytes) {
-                Ok(bytes) => {
+            Some(d) if store.contains_corpus(d) => d.to_string(),
+            Some(_) => return,
+            None => {
+                let digest = recipedb::corpus_digest(atlas.db());
+                if !store.contains_corpus(&digest) {
+                    let origin = CorpusOrigin::Generated;
+                    let Ok(bytes) = snapshot::encode_corpus(atlas.db(), origin, 0) else {
+                        return;
+                    };
                     let _ = self.spanned("store/persist", || {
                         store.persist_corpus(&digest, origin, &bytes)
                     });
                 }
-                Err(_) => return,
+                digest
             }
-        }
+        };
         let store_id = key.store_id();
         if store.contains_atlas(&store_id) {
             return;
@@ -428,6 +441,11 @@ impl AppState {
         let _ = self.spanned("store/persist", || {
             store.persist_atlas(&store_id, &digest, &bytes)
         });
+        // A purge that removed the upload while this atlas was written
+        // wins: it removed the corpus file before the atlas files.
+        if key.corpus_digest().is_some() && !store.contains_corpus(&digest) {
+            store.remove_atlases_for_corpus(&digest);
+        }
     }
 
     /// Write-through persist of an uploaded corpus: `body` is the
@@ -542,8 +560,7 @@ pub fn config_from_query(request: &Request) -> Result<AtlasConfig, ApiError> {
 }
 
 fn metric_from_name(name: &str) -> Result<Metric, ApiError> {
-    // Only the three metrics the paper builds trees from are routable.
-    [Metric::Euclidean, Metric::Cosine, Metric::Jaccard]
+    Metric::ALL
         .into_iter()
         .find(|m| m.name() == name)
         .ok_or_else(|| {
@@ -984,6 +1001,7 @@ fn register_corpus(state: &AppState, request: &Request) -> Result<Response, ApiE
     });
     state.metrics().record_corpus_upload();
     if created {
+        state.prune_corpus_labels();
         state.persist_corpus_snapshot(&info, &request.body);
     }
     ok_json(&json!({

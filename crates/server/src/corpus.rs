@@ -2,18 +2,18 @@
 //!
 //! `POST /corpus` validates a RecipeDB snapshot and registers it here
 //! under its content digest; `?corpus=<digest>` on any endpoint looks it
-//! up. The registry is a small approximately-LRU map: uploads beyond
-//! `max_corpora` evict the least-recently-used corpus (its cached
-//! atlases stay keyed by digest in the atlas cache until they age out
-//! there too). Registering the same bytes twice is idempotent — the
-//! digest is the identity.
+//! up. The registry is a small exact LRU (the server's one [`Lru`]):
+//! uploads beyond `max_corpora` evict the least-recently-used corpus
+//! (its cached atlases stay keyed by digest in the atlas cache until
+//! they age out there too). Registering the same bytes twice is
+//! idempotent — the digest is the identity.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::SystemTime;
 
 use recipedb::RecipeDb;
+
+use crate::cache::Lru;
 
 /// An uploaded corpus and its summary, shared immutably with every
 /// build that uses it.
@@ -35,27 +35,16 @@ pub struct CorpusInfo {
     pub registered_at: SystemTime,
 }
 
-struct Slot {
-    info: Arc<CorpusInfo>,
-    last_used: u64,
-}
-
-/// A bounded, approximately-LRU corpus store.
+/// A bounded LRU of uploaded corpora, keyed by digest.
 pub struct CorpusRegistry {
-    slots: RwLock<HashMap<String, Slot>>,
-    max_corpora: usize,
-    clock: AtomicU64,
-    evictions: AtomicU64,
+    lru: Lru<String, CorpusInfo>,
 }
 
 impl CorpusRegistry {
     /// A registry holding at most `max_corpora` corpora.
     pub fn new(max_corpora: usize) -> Self {
         CorpusRegistry {
-            slots: RwLock::new(HashMap::new()),
-            max_corpora: max_corpora.max(1),
-            clock: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            lru: Lru::new(max_corpora),
         }
     }
 
@@ -63,74 +52,36 @@ impl CorpusRegistry {
     /// full. Returns the stored info and whether this digest was new
     /// (`false` = the upload was a no-op re-registration).
     pub fn insert(&self, info: CorpusInfo) -> (Arc<CorpusInfo>, bool) {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut slots = self.slots.write().unwrap();
-        if let Some(slot) = slots.get_mut(&info.digest) {
-            slot.last_used = now;
-            return (Arc::clone(&slot.info), false);
-        }
-        let info = Arc::new(info);
-        slots.insert(
-            info.digest.clone(),
-            Slot {
-                info: Arc::clone(&info),
-                last_used: now,
-            },
-        );
-        while slots.len() > self.max_corpora {
-            let oldest = slots
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k.clone());
-            match oldest {
-                Some(k) => {
-                    slots.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
-        (info, true)
+        self.lru.insert(info.digest.clone(), info)
     }
 
     /// Look up a corpus by digest, stamping recency on a hit.
     pub fn get(&self, digest: &str) -> Option<Arc<CorpusInfo>> {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut slots = self.slots.write().unwrap();
-        slots.get_mut(digest).map(|slot| {
-            slot.last_used = now;
-            Arc::clone(&slot.info)
-        })
+        self.lru.get(&digest.to_string())
     }
 
     /// Remove a corpus by digest (the `DELETE /corpus/{digest}` path
     /// and the TTL sweep). Returns whether it was registered.
     pub fn remove(&self, digest: &str) -> bool {
-        self.slots.write().unwrap().remove(digest).is_some()
+        self.lru.remove_where(|d| d == digest) > 0
     }
 
     /// Every registered corpus, sorted by digest, without stamping
     /// recency (used for `/health` accounting and the TTL sweep).
     pub fn infos(&self) -> Vec<Arc<CorpusInfo>> {
-        let slots = self.slots.read().unwrap();
-        let mut infos: Vec<Arc<CorpusInfo>> = slots.values().map(|s| Arc::clone(&s.info)).collect();
+        let mut infos = self.lru.values();
         infos.sort_by(|a, b| a.digest.cmp(&b.digest));
         infos
     }
 
     /// Number of registered corpora.
     pub fn len(&self) -> usize {
-        self.slots.read().unwrap().len()
+        self.lru.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Corpora evicted to make room since startup.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.lru.is_empty()
     }
 }
 
@@ -182,7 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_least_recently_used_and_counted() {
+    fn eviction_is_least_recently_used() {
         let reg = CorpusRegistry::new(2);
         reg.insert(info("d1"));
         reg.insert(info("d2"));
@@ -193,7 +144,6 @@ mod tests {
         assert!(reg.get("d1").is_some());
         assert!(reg.get("d2").is_none(), "LRU corpus was evicted");
         assert!(reg.get("d3").is_some());
-        assert_eq!(reg.evictions(), 1);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! geography comparison) over a JSON HTTP/1.1 API, built from the
 //! workspace's own primitives and `std` alone: `std::net` sockets with a
 //! blocking accept loop, a worker pool over a bounded `std::sync::mpsc`
-//! channel, and an LRU atlas cache behind one mutex with single-flight
-//! build deduplication.
+//! channel, and one keyed LRU ([`cache::Lru`], one mutex and one
+//! condvar) that holds the built atlases and the uploaded corpora and
+//! builds each missing atlas once however many requests ask for it.
 //!
 //! ```no_run
 //! use atlas_server::{ServerConfig, ServerHandle};
@@ -30,7 +31,6 @@ pub mod http;
 pub mod metrics;
 pub mod pool;
 pub mod router;
-pub mod singleflight;
 
 pub use api::AppState;
 pub use error::ApiError;

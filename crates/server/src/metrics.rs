@@ -218,9 +218,10 @@ pub struct MetricsRegistry {
     dedup: AtomicU64,
     corpus_uploads: AtomicU64,
     corpus_rejects: AtomicU64,
-    // Builds by corpus label ("synthetic" or a digest prefix). Label
-    // cardinality is bounded by the corpus registry's capacity, so the
-    // map stays small; builds are rare enough that a lock is fine.
+    // Builds by corpus label ("synthetic" or a digest prefix). The
+    // server drops the label of every corpus that leaves its registry,
+    // so the map stays as small as the registry; builds are rare enough
+    // that a lock is fine.
     builds_by_corpus: RwLock<BTreeMap<String, u64>>,
     spans: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
@@ -367,11 +368,18 @@ impl MetricsRegistry {
     }
 
     /// Attribute one cold build to a corpus label (`"synthetic"` for
-    /// the generator, a digest prefix for uploads). Labels stay bounded
-    /// because the corpus registry itself is bounded.
+    /// the generator, a digest prefix for uploads).
     pub fn record_build_for_corpus(&self, label: &str) {
         let mut map = self.builds_by_corpus.write().unwrap();
         *map.entry(label.to_string()).or_insert(0) += 1;
+    }
+
+    /// Keep only the per-corpus build series whose label passes `keep`.
+    pub fn retain_builds_by_corpus(&self, keep: impl Fn(&str) -> bool) {
+        self.builds_by_corpus
+            .write()
+            .unwrap()
+            .retain(|label, _| keep(label));
     }
 
     /// Per-corpus build counts, `(label, builds)` in label order.
@@ -756,6 +764,8 @@ mod tests {
         assert!(text.contains("atlas_corpus_upload_rejects_total 2"));
         assert!(text.contains("atlas_builds_by_corpus_total{corpus=\"synthetic\"} 2"));
         assert!(text.contains("atlas_builds_by_corpus_total{corpus=\"3f2a9c01\"} 1"));
+        reg.retain_builds_by_corpus(|label| label == "synthetic");
+        assert_eq!(reg.builds_by_corpus(), vec![("synthetic".to_string(), 2)]);
     }
 
     #[test]

@@ -222,3 +222,56 @@ fn metrics_reconcile_with_requests_sent() {
 
     server.shutdown();
 }
+
+/// `atlas_builds_by_corpus_total` keeps one series per registered
+/// upload: corpora evicted from the registry or deleted lose theirs.
+#[test]
+fn corpus_build_series_follow_the_registry() {
+    use recipedb::store::RecipeDbBuilder;
+    use recipedb::Cuisine;
+
+    let server = ServerHandle::start(ServerConfig {
+        max_corpora: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let corpus_series = |server: &ServerHandle| -> Vec<String> {
+        get(server, "/metrics")
+            .1
+            .lines()
+            .filter(|l| l.starts_with("atlas_builds_by_corpus_total{"))
+            .filter(|l| !l.contains("\"synthetic\""))
+            .map(str::to_string)
+            .collect()
+    };
+    let mut digests = Vec::new();
+    for i in 0..5 {
+        let mut b = RecipeDbBuilder::new();
+        let rice = b.catalog_mut().intern_ingredient(&format!("rice {i}"));
+        b.add_recipe("r0", Cuisine::Japanese, vec![rice], vec![], vec![]);
+        let json = recipedb::io::to_json(&b.build().unwrap()).unwrap();
+        let (status, body) = server.post("/corpus", json.as_bytes()).unwrap();
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let digest = v["corpus"].as_str().unwrap().to_string();
+        assert_eq!(get(&server, &format!("/table1?corpus={digest}")).0, 200);
+        digests.push(digest);
+    }
+    let series = corpus_series(&server);
+    assert!(
+        series.len() <= 2,
+        "one series per registered corpus: {series:?}"
+    );
+    let last = &digests[4];
+    assert!(series.iter().any(|l| l.contains(&last[..12])), "{series:?}");
+
+    let (status, _) = server.delete(&format!("/corpus/{last}")).unwrap();
+    assert_eq!(status, 200);
+    let series = corpus_series(&server);
+    assert!(
+        series.iter().all(|l| !l.contains(&last[..12])),
+        "a deleted corpus loses its series: {series:?}"
+    );
+    server.shutdown();
+}

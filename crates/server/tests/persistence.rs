@@ -311,6 +311,37 @@ fn delete_corpus_removes_memory_and_disk_together() {
     restarted.shutdown();
 }
 
+/// A `DELETE /corpus/{digest}` that lands while that corpus's atlas is
+/// being built stays done: the build's write-through writes neither the
+/// corpus file nor the atlas back, and a restart does not resurrect the
+/// corpus.
+#[test]
+fn delete_during_build_is_not_undone_by_the_build() {
+    let scratch = Scratch::new("delete-mid-build");
+    let server = start(persistent_config(&scratch));
+    let digest = upload(&server, &synthetic_corpus_json());
+    std::thread::scope(|s| {
+        let query = s.spawn(|| server.get(&format!("/table1?seed={SEED}&corpus={digest}")));
+        while server.build_count() == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let (status, body) = server.delete(&format!("/corpus/{digest}")).unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        query
+            .join()
+            .unwrap()
+            .expect("the in-flight query completes");
+    });
+    assert!(files_with_ext(&scratch.0, "corpus").is_empty());
+    assert!(files_with_ext(&scratch.0, "atlas").is_empty());
+    server.shutdown();
+
+    let restarted = start(persistent_config(&scratch));
+    let health = health_json(&restarted);
+    assert!(health["corpora"].as_array().unwrap().is_empty(), "{health}");
+    restarted.shutdown();
+}
+
 /// With a TTL of zero every upload expires before its first query:
 /// the digest 404s and both memory and disk are purged.
 #[test]
