@@ -141,10 +141,9 @@ impl SnapshotError {
     /// quarantine. The other variants describe a snapshot that is
     /// internally sound but unusable *by this reader* — a version or
     /// kind from a different build, or a corpus this process doesn't
-    /// hold. When processes share a store directory, a sibling running
-    /// a newer build may legitimately own such files; quarantining them
-    /// would fight that sibling, so callers treat them as a miss and
-    /// leave the file in place.
+    /// hold. A rollback to the build that wrote such a file can still
+    /// use it, so callers treat it as a miss and leave it in place
+    /// rather than quarantine it.
     pub fn is_corruption(&self) -> bool {
         match self {
             SnapshotError::Truncated

@@ -374,8 +374,8 @@ impl AppState {
                     Ok(peek) => peek.corpus_digest,
                     Err(e) => {
                         // Only damaged content is quarantined; a frame
-                        // from a sibling running a different build is
-                        // left for that sibling and treated as a miss.
+                        // from a different build is left in place for a
+                        // rollback to that build, and treated as a miss.
                         if e.is_corruption() {
                             store.quarantine_atlas(&store_id);
                         }
@@ -787,10 +787,6 @@ fn health(state: &AppState, _: &Request, _: &PathParams) -> Result<Response, Api
             "snapshot_writes": (st.writes),
             "snapshot_corrupt": (st.corrupt),
             "snapshot_evictions": (st.evictions),
-            "index_rescans": (st.rescans),
-            "lock_acquisitions": (st.lock_acquisitions),
-            "lock_steals": (st.lock_steals),
-            "lock_contentions": (st.lock_contentions),
             "atlas_files": (st.atlas_files),
             "corpus_files": (st.corpus_files),
             "disk_bytes": (st.total_bytes()),
@@ -842,18 +838,6 @@ fn metrics(state: &AppState, _: &Request, _: &PathParams) -> Result<Response, Ap
              # HELP atlas_store_snapshot_evictions_total Snapshot files evicted by the disk budget.\n\
              # TYPE atlas_store_snapshot_evictions_total counter\n\
              atlas_store_snapshot_evictions_total {}\n\
-             # HELP atlas_store_index_rescans_total Index corrections against the shared filesystem (re-probed sibling writes, adopted or dropped entries).\n\
-             # TYPE atlas_store_index_rescans_total counter\n\
-             atlas_store_index_rescans_total {}\n\
-             # HELP atlas_store_lock_acquisitions_total Advisory write-lock acquisitions.\n\
-             # TYPE atlas_store_lock_acquisitions_total counter\n\
-             atlas_store_lock_acquisitions_total {}\n\
-             # HELP atlas_store_lock_steals_total Stale sibling locks broken (dead pid or previous boot).\n\
-             # TYPE atlas_store_lock_steals_total counter\n\
-             atlas_store_lock_steals_total {}\n\
-             # HELP atlas_store_lock_contentions_total Lock acquisitions that waited behind a live holder.\n\
-             # TYPE atlas_store_lock_contentions_total counter\n\
-             atlas_store_lock_contentions_total {}\n\
              # HELP atlas_store_atlas_files Atlas snapshot files currently stored.\n\
              # TYPE atlas_store_atlas_files gauge\n\
              atlas_store_atlas_files {}\n\
@@ -871,10 +855,6 @@ fn metrics(state: &AppState, _: &Request, _: &PathParams) -> Result<Response, Ap
             st.writes,
             st.corrupt,
             st.evictions,
-            st.rescans,
-            st.lock_acquisitions,
-            st.lock_steals,
-            st.lock_contentions,
             st.atlas_files,
             st.corpus_files,
             st.total_bytes(),

@@ -6,7 +6,7 @@
 //!             [--prewarm SPEC[,SPEC...]] [--access-log]
 //!             [--max-corpus-bytes N] [--max-corpora N]
 //!             [--data-dir DIR] [--max-disk-bytes N] [--no-persist]
-//!             [--corpus-ttl-secs N] [--lock-timeout-ms N]
+//!             [--corpus-ttl-secs N]
 //! ```
 //!
 //! `--prewarm` warms the cache before accepting connections; each spec
@@ -18,10 +18,12 @@
 //! `--max-disk-bytes` bounds the store (LRU eviction, 0 = unbounded)
 //! and `--no-persist` serves warm reads without writing anything new.
 //! `--corpus-ttl-secs` expires uploaded corpora (memory and disk) that
-//! many seconds after registration. Multiple `atlas-serve` processes
-//! may share one `--data-dir`: store mutations are serialized behind a
-//! short-held advisory lock and `--lock-timeout-ms` bounds how long a
-//! persist waits behind a live sibling before skipping the write. `--build-threads` caps the worker
+//! many seconds after registration. One writing `atlas-serve` owns a
+//! `--data-dir` until it is killed (`store.lock`): a second writer on
+//! the same dir exits 1 naming the lock and its holder's pid, while a
+//! restart after the owner died takes its lock over. `--no-persist`
+//! servers take no lock and may run beside the owner, serving what
+//! their boot scan found. `--build-threads` caps the worker
 //! threads used per cold atlas build (default: all available cores);
 //! the built atlases are bit-for-bit identical for every thread count.
 //! `--access-log` writes one JSON line per served request to stdout;
@@ -43,8 +45,7 @@ fn usage() -> ! {
         "usage: atlas-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
          [--cache-capacity N] [--build-threads N] [--prewarm SPEC[,SPEC...]] \
          [--access-log] [--max-corpus-bytes N] [--max-corpora N] \
-         [--data-dir DIR] [--max-disk-bytes N] [--no-persist] [--corpus-ttl-secs N] \
-         [--lock-timeout-ms N]\n\
+         [--data-dir DIR] [--max-disk-bytes N] [--no-persist] [--corpus-ttl-secs N]\n\
          \n\
          prewarm SPEC is a generator seed (e.g. 23) or corpus=<digest>"
     );
@@ -104,10 +105,6 @@ fn parse_options() -> Options {
                     parse_num(&value("--max-disk-bytes"), "--max-disk-bytes")
             }
             "--no-persist" => options.config.persist = false,
-            "--lock-timeout-ms" => {
-                options.config.lock_timeout_ms =
-                    parse_num(&value("--lock-timeout-ms"), "--lock-timeout-ms")
-            }
             "--corpus-ttl-secs" => {
                 options.config.corpus_ttl_secs =
                     Some(parse_num(&value("--corpus-ttl-secs"), "--corpus-ttl-secs"))

@@ -48,14 +48,15 @@ impl ServerHandle {
         let addr = listener.local_addr()?;
 
         // A data dir makes the server persistent: snapshots are served
-        // warm from disk and (unless --no-persist) written through.
+        // warm from disk and (unless --no-persist) written through. A
+        // writing server owns the dir until shutdown; opening one that
+        // another live server owns fails here.
         let store = match &config.data_dir {
             Some(dir) => Some(Arc::new(atlas_store::SnapshotStore::open(
                 atlas_store::StoreConfig {
                     root: dir.clone(),
                     max_disk_bytes: config.max_disk_bytes,
                     read_only: !config.persist,
-                    lock_timeout: Duration::from_millis(config.lock_timeout_ms),
                     // Lets the crash-consistency harness inject faults
                     // into real spawned servers; unset in production.
                     faults: atlas_store::FaultPlan::from_env("ATLAS_STORE_FAULT"),

@@ -75,9 +75,6 @@ pub struct ServerConfig {
     /// snapshots) this many seconds after registration
     /// (`--corpus-ttl-secs`); `None` keeps them until evicted.
     pub corpus_ttl_secs: Option<u64>,
-    /// How long a store mutation waits for the advisory write lock held
-    /// by a sibling process sharing the data dir (`--lock-timeout-ms`).
-    pub lock_timeout_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -95,7 +92,6 @@ impl Default for ServerConfig {
             max_disk_bytes: 0,
             persist: true,
             corpus_ttl_secs: None,
-            lock_timeout_ms: 5000,
         }
     }
 }

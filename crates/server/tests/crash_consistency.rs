@@ -1,19 +1,19 @@
-//! Crash consistency and multi-process sharing, proven on real
-//! processes.
+//! Crash consistency and data-dir ownership, proven on real processes.
 //!
 //! These tests spawn actual `atlas-serve` binaries (via
-//! `CARGO_BIN_EXE_atlas-serve`) against one shared `--data-dir`:
+//! `CARGO_BIN_EXE_atlas-serve`) on one `--data-dir`:
 //!
-//! - **Two-process warm sharing**: process B, booted on an empty store,
-//!   serves byte-identical bodies off process A's snapshots with
-//!   `atlas_builds_total 0` — the read path's re-probe-on-miss finds a
-//!   sibling's writes with no restart required.
+//! - **One owner**: while a writing server lives, a second writer on its
+//!   dir exits non-zero naming `store.lock` and the owner's pid, and the
+//!   owner keeps serving.
+//! - **Read-only beside the owner**: a `--no-persist` server takes no
+//!   lock, starts beside the owner and serves the snapshots its boot
+//!   scan found byte-identically with `atlas_builds_total 0`.
 //! - **SIGKILL mid-persist**: a writer is stalled inside the atlas
 //!   payload write (`ATLAS_STORE_FAULT=write:2:stall`) and killed with
-//!   SIGKILL while holding the store's advisory lock. The survivor must
-//!   break the dead writer's stale lock (counted in `/metrics`),
-//!   rebuild exactly once, and a fresh restart must sweep the torn
-//!   `.tmp`, boot warm, and serve byte-identical bodies.
+//!   SIGKILL. A survivor started after the kill takes the dead owner's
+//!   lock over, sweeps the torn `.tmp` and rebuilds exactly once, and a
+//!   fresh restart boots warm and serves byte-identical bodies.
 //!
 //! The workload is a tiny uploaded corpus (content-addressed, so every
 //! process computes the same digest), keeping each cold build to
@@ -100,10 +100,9 @@ struct Server {
 }
 
 impl Server {
-    /// Spawn `atlas-serve --data-dir <dir>` on an ephemeral port,
-    /// optionally with a fault-injection spec in `ATLAS_STORE_FAULT`,
-    /// and wait for its "listening on" banner.
-    fn spawn(data_dir: &Path, fault: Option<&str>) -> Server {
+    /// `atlas-serve --data-dir <dir>` on an ephemeral port plus `args`,
+    /// optionally with a fault-injection spec in `ATLAS_STORE_FAULT`.
+    fn command(data_dir: &Path, fault: Option<&str>, args: &[&str]) -> Command {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_atlas-serve"));
         cmd.arg("--addr")
             .arg("127.0.0.1:0")
@@ -111,15 +110,22 @@ impl Server {
             .arg(data_dir)
             .arg("--workers")
             .arg(workers().to_string())
-            .arg("--lock-timeout-ms")
-            .arg("1000")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
+            .args(args);
         match fault {
             Some(spec) => cmd.env("ATLAS_STORE_FAULT", spec),
             None => cmd.env_remove("ATLAS_STORE_FAULT"),
         };
-        let mut child = cmd.spawn().expect("spawn atlas-serve");
+        cmd
+    }
+
+    /// Spawn a server (see [`Server::command`]) and wait for its
+    /// "listening on" banner.
+    fn spawn(data_dir: &Path, fault: Option<&str>, args: &[&str]) -> Server {
+        let mut child = Server::command(data_dir, fault, args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn atlas-serve");
 
         // The banner reader lives in a thread so a wedged child can't
         // hang the test past its deadline.
@@ -151,9 +157,13 @@ impl Server {
         Server { child, addr }
     }
 
+    fn pid(&self) -> u32 {
+        self.child.id()
+    }
+
     /// SIGKILL the child and reap it — reaping matters: it removes the
-    /// `/proc/<pid>` entry, which is what lets a sibling judge the
-    /// dead writer's lock stale.
+    /// `/proc/<pid>` entry, which is what lets the next server judge
+    /// the dead owner's lock stale.
     fn kill9(mut self) {
         self.child.kill().expect("SIGKILL");
         self.child.wait().expect("reap");
@@ -257,6 +267,16 @@ fn metric(text: &str, name: &str) -> u64 {
         .unwrap_or_else(|e| panic!("metric {name} not an integer: {e}"))
 }
 
+/// The pid recorded in the data dir's `store.lock`.
+fn lock_pid(data_dir: &Path) -> u32 {
+    let record = std::fs::read_to_string(data_dir.join("store.lock")).expect("store.lock exists");
+    record
+        .lines()
+        .find_map(|l| l.strip_prefix("pid="))
+        .and_then(|p| p.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no pid in store.lock: {record:?}"))
+}
+
 fn files_with_ext(root: &Path, ext: &str) -> Vec<PathBuf> {
     std::fs::read_dir(root)
         .into_iter()
@@ -267,74 +287,99 @@ fn files_with_ext(root: &Path, ext: &str) -> Vec<PathBuf> {
         .collect()
 }
 
-/// Two live servers share one `--data-dir`: the second serves the
-/// first's snapshots byte-identically with zero builds, via the read
-/// path's filesystem re-probe (B booted *before* A wrote anything, so
-/// its boot scan alone cannot explain the warm hit).
+/// A second writer on a live owner's data dir exits non-zero at once,
+/// naming the lock file and the owner's pid; the owner keeps serving.
 #[test]
-fn second_process_serves_a_siblings_snapshots_without_building() {
-    let scratch = Scratch::new("share");
-    let a = Server::spawn(&scratch.0, None);
-    let b = Server::spawn(&scratch.0, None); // boots on an empty store
-
-    let corpus = tiny_corpus_json();
-    let digest = a.upload(&corpus);
+fn a_second_writer_is_refused_while_the_owner_serves() {
+    let scratch = Scratch::new("owner");
+    let owner = Server::spawn(&scratch.0, None, &[]);
+    let digest = owner.upload(&tiny_corpus_json());
     let path = format!("/table1?seed=907&corpus={digest}");
-    let body_a = a.get_ok(&path);
-    let ma = a.metrics();
-    assert_eq!(metric(&ma, "atlas_builds_total"), 1);
+    let body = owner.get_ok(&path);
+
+    let mut second = Server::command(&scratch.0, None, &[])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn atlas-serve");
+    let deadline = Instant::now() + DEADLINE;
+    let status = loop {
+        if let Some(status) = second.try_wait().expect("poll the second writer") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = second.kill();
+            let _ = second.wait();
+            panic!("a second writer must be refused at once, not wait");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    second
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert!(!status.success(), "the second writer must fail: {stderr}");
     assert!(
-        metric(&ma, "atlas_store_snapshot_writes_total") >= 2,
-        "corpus + atlas written through: {ma}"
-    );
-    assert!(
-        metric(&ma, "atlas_store_lock_acquisitions_total") >= 1,
-        "persists take the advisory lock"
-    );
-    assert_eq!(
-        metric(&ma, "atlas_store_lock_steals_total"),
-        0,
-        "nothing stale to steal"
+        stderr.contains("store.lock") && stderr.contains(&owner.pid().to_string()),
+        "the refusal names the lock and its holder: {stderr}"
     );
 
-    // B registers the same corpus (content-addressed: same digest, and
-    // the store adopts A's on-disk snapshot instead of rewriting it),
-    // then serves A's atlas without ever building.
-    assert_eq!(b.upload(&corpus), digest);
-    let body_b = b.get_ok(&path);
-    assert_eq!(body_a, body_b, "sibling must serve byte-identical bodies");
-    let mb = b.metrics();
     assert_eq!(
-        metric(&mb, "atlas_builds_total"),
-        0,
-        "B must serve A's snapshot, not rebuild: {mb}"
+        lock_pid(&scratch.0),
+        owner.pid(),
+        "the owner keeps its lock"
     );
-    assert_eq!(
-        metric(&mb, "atlas_store_snapshot_writes_total"),
-        0,
-        "B re-writes nothing A already persisted: {mb}"
-    );
-    assert!(
-        metric(&mb, "atlas_store_index_rescans_total") >= 1,
-        "the warm hit came from a re-probe of A's write: {mb}"
-    );
-    assert!(metric(&mb, "atlas_store_snapshot_hits_total") >= 1);
+    assert_eq!(owner.get_ok(&path), body, "the owner keeps serving");
+    assert_eq!(metric(&owner.metrics(), "atlas_builds_total"), 1);
 }
 
-/// SIGKILL a writer stalled mid-persist while it holds the advisory
-/// lock: no torn visible snapshot may ever appear, the survivor breaks
-/// the stale lock and rebuilds exactly once, and a fresh restart boots
-/// warm off the survivor's snapshot with the torn `.tmp` swept.
+/// A `--no-persist` server takes no lock, so it starts beside the live
+/// owner and serves the snapshots its boot scan found, byte-identically
+/// and without building.
+#[test]
+fn a_read_only_server_serves_the_owners_snapshots_beside_it() {
+    let scratch = Scratch::new("readonly");
+    let owner = Server::spawn(&scratch.0, None, &[]);
+    let digest = owner.upload(&tiny_corpus_json());
+    let path = format!("/table1?seed=907&corpus={digest}");
+    let body = owner.get_ok(&path);
+    assert!(
+        metric(&owner.metrics(), "atlas_store_snapshot_writes_total") >= 2,
+        "corpus + atlas written through"
+    );
+
+    let reader = Server::spawn(&scratch.0, None, &["--no-persist"]);
+    assert_eq!(reader.get_ok(&path), body, "byte-identical from disk");
+    let mr = reader.metrics();
+    assert_eq!(
+        metric(&mr, "atlas_builds_total"),
+        0,
+        "served from the owner's snapshots: {mr}"
+    );
+    assert_eq!(metric(&mr, "atlas_store_snapshot_writes_total"), 0);
+    assert!(metric(&mr, "atlas_store_snapshot_hits_total") >= 1);
+    assert_eq!(
+        lock_pid(&scratch.0),
+        owner.pid(),
+        "the lock stays the owner's"
+    );
+}
+
+/// SIGKILL a writer stalled mid-persist: no torn visible snapshot may
+/// ever appear; a survivor started after the kill takes the dead
+/// owner's lock over, sweeps the torn `.tmp` and rebuilds exactly once;
+/// and a fresh restart boots warm off the survivor's snapshot.
 #[test]
 fn sigkill_mid_persist_never_tears_a_visible_snapshot() {
     let scratch = Scratch::new("sigkill");
     // Store writes in this workload: the corpus payload persists at
     // upload time (write #1), the atlas payload on the first atlas GET
     // (write #2). Stalling #2 wedges the writer inside the atlas tmp
-    // write — after the corpus committed, before the commit rename —
-    // while it holds the store's advisory lock.
-    let writer = Server::spawn(&scratch.0, Some("write:2:stall"));
-    let survivor = Server::spawn(&scratch.0, None);
+    // write — after the corpus committed, before the commit rename.
+    let writer = Server::spawn(&scratch.0, Some("write:2:stall"), &[]);
 
     let corpus = tiny_corpus_json();
     let digest = writer.upload(&corpus);
@@ -342,7 +387,7 @@ fn sigkill_mid_persist_never_tears_a_visible_snapshot() {
     let _pending = writer.fire_and_forget(&path);
 
     // Wait until the writer is provably inside the stalled atlas write:
-    // its pid-tagged tmp file exists in atlases/.
+    // its tmp file exists in atlases/.
     let atlases = scratch.0.join("atlases");
     let deadline = Instant::now() + DEADLINE;
     while files_with_ext(&atlases, "tmp").is_empty() {
@@ -362,9 +407,11 @@ fn sigkill_mid_persist_never_tears_a_visible_snapshot() {
         "no visible atlas may exist before the stalled rename"
     );
 
+    let writer_pid = writer.pid();
     writer.kill9();
-    assert!(
-        scratch.0.join("store.lock").exists(),
+    assert_eq!(
+        lock_pid(&scratch.0),
+        writer_pid,
         "the dead writer left its lock behind"
     );
     assert!(
@@ -372,8 +419,19 @@ fn sigkill_mid_persist_never_tears_a_visible_snapshot() {
         "SIGKILL mid-write must not produce a visible atlas"
     );
 
-    // The survivor: adopt the committed corpus, stale-break the dead
-    // writer's lock, rebuild exactly the one atlas the kill destroyed.
+    // The survivor starts on the dead owner's dir: it takes the lock
+    // over, sweeps the torn tmp at boot, restores the committed corpus
+    // and rebuilds exactly the one atlas the kill destroyed.
+    let survivor = Server::spawn(&scratch.0, None, &[]);
+    assert_eq!(
+        lock_pid(&scratch.0),
+        survivor.pid(),
+        "the survivor took the dead owner's lock over"
+    );
+    assert!(
+        files_with_ext(&atlases, "tmp").is_empty(),
+        "the dead writer's torn tmp is swept at boot"
+    );
     assert_eq!(survivor.upload(&corpus), digest);
     let body_survivor = survivor.get_ok(&path);
     let ms = survivor.metrics();
@@ -382,27 +440,21 @@ fn sigkill_mid_persist_never_tears_a_visible_snapshot() {
         1,
         "exactly the one rebuild the kill forced: {ms}"
     );
-    assert!(
-        metric(&ms, "atlas_store_lock_steals_total") >= 1,
-        "the dead writer's lock must be broken, not waited out: {ms}"
-    );
-    assert!(
-        metric(&ms, "atlas_store_index_rescans_total") >= 1,
-        "the committed corpus is adopted, not rewritten: {ms}"
+    assert_eq!(
+        metric(&ms, "atlas_store_snapshot_corrupt_total"),
+        0,
+        "crash residue is tmp-swept, never quarantined as corruption: {ms}"
     );
     assert_eq!(
         files_with_ext(&atlases, "atlas").len(),
         1,
         "the survivor's persist went through"
     );
-    assert!(
-        !scratch.0.join("store.lock").exists(),
-        "the stolen lock is released after the persist"
-    );
+    survivor.kill9();
 
-    // A fresh process boots warm off the survivor's snapshot: the torn
-    // tmp is swept, nothing rebuilds, bodies stay byte-identical.
-    let restarted = Server::spawn(&scratch.0, None);
+    // A fresh process boots warm off the survivor's snapshot: nothing
+    // rebuilds, bodies stay byte-identical.
+    let restarted = Server::spawn(&scratch.0, None, &[]);
     let body_restarted = restarted.get_ok(&path);
     assert_eq!(
         body_survivor, body_restarted,
@@ -414,13 +466,5 @@ fn sigkill_mid_persist_never_tears_a_visible_snapshot() {
         0,
         "the restart boots warm: {mr}"
     );
-    assert_eq!(
-        metric(&mr, "atlas_store_snapshot_corrupt_total"),
-        0,
-        "crash residue is tmp-swept, never quarantined as corruption: {mr}"
-    );
-    assert!(
-        files_with_ext(&atlases, "tmp").is_empty(),
-        "the dead writer's torn tmp is swept at boot"
-    );
+    assert_eq!(metric(&mr, "atlas_store_snapshot_corrupt_total"), 0);
 }

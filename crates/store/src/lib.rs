@@ -8,29 +8,28 @@
 //! <root>/atlases/<store-id>.atlas     one file per built atlas
 //! <root>/corpora/<digest>.corpus      one file per corpus
 //! <root>/quarantine/                  damaged files, kept for forensics
-//! <root>/store.lock                   advisory write lock (while held)
+//! <root>/store.lock                   owner lock (while a writer is open)
 //! ```
 //!
 //! Files are **content-addressed**: a corpus file is named by its
 //! semantic [`corpus digest`](recipedb::digest::corpus_digest) and an
 //! atlas file by the server's cache-key id, so identical content lands
 //! on identical paths and a re-persist is a no-op. Writes are atomic
-//! (pid-tagged `.tmp` + fsync + rename) — a crash mid-persist leaves a
+//! (`<name>.tmp` + fsync + rename) — a crash mid-persist leaves a
 //! `.tmp` orphan that the next [`SnapshotStore::open`] sweeps away,
 //! never a half-written live file. Files that fail validation (at the
 //! boot scan or on a later load/decode) are moved to `quarantine/` and
 //! counted, so the serving layer falls back to a rebuild instead of
 //! crashing.
 //!
-//! **Multiple processes may share one store.** Mutations (persist,
-//! evict, quarantine, remove) are serialized behind a short-held
-//! advisory [`lock`] — a `store.lock` file acquired with
-//! `O_CREAT|O_EXCL` semantics, broken when its recorded owner is dead —
-//! while the read path stays lock-free: an index miss re-probes the
-//! filesystem (a sibling may have persisted the snapshot after our boot
-//! scan) and a `NotFound` on an indexed file degrades to a miss (a
-//! sibling evicted it; the caller rebuilds). Read-only stores never
-//! take the lock and never mutate the directory, not even at boot.
+//! **One read-write store owns the directory.** [`SnapshotStore::open`]
+//! takes the owner lock — a `store.lock` file created with
+//! `O_CREAT|O_EXCL` semantics — and holds it until the store is
+//! dropped. A live owner makes a second writer's open fail at once; a
+//! dead owner's lock (the one a killed server leaves) is taken over, so
+//! restarting after `kill -9` just works. Read-only stores never take
+//! the lock and never mutate the directory, not even at boot: they
+//! serve what their boot scan indexed.
 //!
 //! A disk budget (`max_disk_bytes`, 0 = unbounded) is enforced after
 //! every write by evicting least-recently-used atlases first, then
@@ -47,7 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod lock;
+mod lock;
 
 use std::collections::HashMap;
 use std::fs;
@@ -55,49 +54,41 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, SystemTime};
+use std::time::SystemTime;
 
 use cuisine_atlas::snapshot::{self, CorpusOrigin};
 
 pub use fault::{FaultOp, FaultPlan};
-pub use lock::{LockOwner, StoreLock};
 
 const ATLAS_EXT: &str = "atlas";
 const CORPUS_EXT: &str = "corpus";
 const TMP_EXT: &str = "tmp";
 
-/// Default time a mutation waits for the advisory write lock before
-/// giving up (the server's `--lock-timeout-ms`).
-pub const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding the store (created if absent).
+    /// Directory holding the store (created if absent, unless
+    /// read-only).
     pub root: PathBuf,
     /// Disk budget in bytes across atlases + corpora; `0` disables the
     /// budget.
     pub max_disk_bytes: u64,
-    /// Serve warm reads but never write, evict, quarantine, or lock
-    /// (the server's `--no-persist` flag).
+    /// Serve warm reads but never write, evict, quarantine, unlink or
+    /// lock (the server's `--no-persist` flag).
     pub read_only: bool,
-    /// How long a mutation waits for the advisory write lock held by a
-    /// live sibling process before erroring with `TimedOut`.
-    pub lock_timeout: Duration,
     /// Fault injections applied to every store I/O site (tests only;
     /// the default plan is free).
     pub faults: FaultPlan,
 }
 
 impl StoreConfig {
-    /// A read-write store at `root` with no disk budget, the default
-    /// lock timeout, and no fault injections.
+    /// A read-write store at `root` with no disk budget and no fault
+    /// injections.
     pub fn new(root: PathBuf) -> StoreConfig {
         StoreConfig {
             root,
             max_disk_bytes: 0,
             read_only: false,
-            lock_timeout: DEFAULT_LOCK_TIMEOUT,
             faults: FaultPlan::none(),
         }
     }
@@ -117,16 +108,6 @@ pub struct StoreStats {
     pub corrupt: u64,
     /// Files evicted to stay under the disk budget.
     pub evictions: u64,
-    /// Times the index was corrected against the filesystem: a miss
-    /// re-probed into a sibling's snapshot, a sibling's write adopted
-    /// at persist time, or an entry dropped after a sibling's unlink.
-    pub rescans: u64,
-    /// Advisory write-lock acquisitions.
-    pub lock_acquisitions: u64,
-    /// Stale sibling locks broken (dead pid / previous boot).
-    pub lock_steals: u64,
-    /// Lock acquisitions that found a live holder and had to wait.
-    pub lock_contentions: u64,
     /// Atlas snapshot files currently stored.
     pub atlas_files: u64,
     /// Corpus snapshot files currently stored.
@@ -211,20 +192,22 @@ impl Index {
 pub struct SnapshotStore {
     config: StoreConfig,
     index: Mutex<Index>,
-    /// The advisory write lock; `None` in read-only mode, which never
-    /// mutates and therefore never excludes anyone.
-    lock: Option<StoreLock>,
+    /// The owner lock, held for the store's lifetime; `None` in
+    /// read-only mode, which never mutates and so excludes no one.
+    _lock: Option<lock::StoreLock>,
     hits: AtomicU64,
     misses: AtomicU64,
     writes: AtomicU64,
     corrupt: AtomicU64,
     evictions: AtomicU64,
-    rescans: AtomicU64,
 }
 
 impl SnapshotStore {
-    /// Open (creating if needed) the store at `config.root`, sweeping
-    /// crash leftovers and quarantining any file that fails validation.
+    /// Open (creating if needed) the store at `config.root`, taking its
+    /// owner lock, sweeping crash leftovers and quarantining any file
+    /// that fails validation. Fails with `WouldBlock` while another live
+    /// store owns the directory. A read-only open takes no lock, creates
+    /// nothing, and reads a missing directory as empty.
     ///
     /// Every existing snapshot is checksum-verified here — the boot
     /// scan is what makes a warm restart trustworthy — and the LRU
@@ -232,35 +215,29 @@ impl SnapshotStore {
     /// the store id/digest, so eviction order is independent of
     /// `read_dir` order), so eviction order survives restarts.
     pub fn open(config: StoreConfig) -> io::Result<Self> {
-        fs::create_dir_all(config.root.join("atlases"))?;
-        fs::create_dir_all(config.root.join("corpora"))?;
-        fs::create_dir_all(config.root.join("quarantine"))?;
-
         let lock = if config.read_only {
             None
         } else {
-            Some(StoreLock::new(&config.root, config.lock_timeout))
+            fs::create_dir_all(&config.root)?;
+            let lock = lock::StoreLock::acquire(&config.root)?;
+            for dir in ["atlases", "corpora", "quarantine"] {
+                fs::create_dir_all(config.root.join(dir))?;
+            }
+            Some(lock)
         };
         let store = SnapshotStore {
             config,
             index: Mutex::new(Index::default()),
-            lock,
+            _lock: lock,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            rescans: AtomicU64::new(0),
         };
         store.scan()?;
         if !store.config.read_only {
-            let mut index = store.index.lock().unwrap();
-            // Budget enforcement is a mutation: take the write lock. A
-            // wedged sibling must not block startup, so a lock timeout
-            // defers enforcement to the next write.
-            if let Ok(_guard) = store.write_guard() {
-                store.enforce_budget(&mut index);
-            }
+            store.enforce_budget(&mut store.index.lock().unwrap());
         }
         Ok(store)
     }
@@ -289,31 +266,28 @@ impl SnapshotStore {
             .join(format!("{digest}.{CORPUS_EXT}"))
     }
 
-    /// Acquire the advisory write lock (no-op handle in read-only
-    /// mode, which never calls this with a mutation in hand).
-    fn write_guard(&self) -> io::Result<Option<lock::LockGuard<'_>>> {
-        self.lock.as_ref().map(|l| l.acquire()).transpose()
-    }
-
-    /// Scan both snapshot directories: drop dead writers' `.tmp`
-    /// orphans, quarantine invalid files, index the rest in
-    /// `(mtime, stem)` order — oldest first, ties broken on the store
-    /// id/digest — so the LRU clock reflects pre-restart recency and
-    /// never depends on `read_dir` order. Read-only stores index
-    /// without mutating anything.
+    /// Scan both snapshot directories: sweep `.tmp` orphans (no write
+    /// is in flight while we open), quarantine invalid files, index the
+    /// rest in `(mtime, stem)` order — oldest first, ties broken on the
+    /// store id/digest — so the LRU clock reflects pre-restart recency
+    /// and never depends on `read_dir` order. Read-only stores index
+    /// without mutating anything, and read a missing directory as
+    /// empty.
     fn scan(&self) -> io::Result<()> {
         let mut found: Vec<(SystemTime, String, PathBuf, bool)> = Vec::new();
         for (dir, is_atlas) in [("atlases", true), ("corpora", false)] {
-            for entry in fs::read_dir(self.config.root.join(dir))? {
+            let entries = match fs::read_dir(self.config.root.join(dir)) {
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                entries => entries?,
+            };
+            for entry in entries {
                 let path = entry?.path();
                 if !path.is_file() {
                     continue;
                 }
                 let ext = path.extension().and_then(|e| e.to_str());
                 if ext == Some(TMP_EXT) {
-                    // Sweep tmp files unless a live sibling is still
-                    // writing them (tmp names carry the writer's pid).
-                    if !self.config.read_only && !tmp_writer_alive(&path) {
+                    if !self.config.read_only {
                         let _ = fs::remove_file(&path);
                     }
                     continue;
@@ -380,9 +354,10 @@ impl SnapshotStore {
 
     /// Handle a file that failed snapshot validation: *corruption*
     /// (checksum/structure damage) is quarantined; anything else — a
-    /// version or kind this build does not speak, possibly written by a
-    /// sibling process running a different build — is left in place,
-    /// unindexed, so we never fight the sibling that owns it.
+    /// version or kind this build does not speak, written by another
+    /// build — is not damage. It is left in place, unindexed, so a
+    /// rollback to the build that wrote it can still use it (unless
+    /// this build persists the same id over it).
     fn reject_file(&self, path: &Path, err: &snapshot::SnapshotError) {
         if err.is_corruption() {
             self.quarantine_file(path);
@@ -396,10 +371,8 @@ impl SnapshotStore {
         self.index.lock().unwrap().atlases.contains_key(store_id)
     }
 
-    /// Read an atlas snapshot's bytes, counting a hit or miss. An index
-    /// miss re-probes the filesystem (a sibling process may have
-    /// persisted it since our boot scan); a vanished file (sibling
-    /// eviction) degrades to a miss; an unreadable or invalid file is
+    /// Read an atlas snapshot's bytes, counting a hit or miss. A
+    /// vanished file degrades to a miss; an unreadable file is
     /// quarantined on the spot (never in read-only mode) and reported
     /// as a miss.
     pub fn load_atlas(&self, store_id: &str) -> Option<Vec<u8>> {
@@ -409,11 +382,7 @@ impl SnapshotStore {
     /// Persist an atlas snapshot under `store_id`, recording which
     /// corpus it depends on (the budget never evicts a corpus out from
     /// under its atlases). Returns `false` without writing when the
-    /// store is read-only or the file already exists — including one a
-    /// sibling process persisted after our boot scan, which is adopted
-    /// into the index instead of rewritten (identical name means
-    /// identical content under content addressing; a damaged impostor
-    /// is caught and quarantined at load time).
+    /// store is read-only or the snapshot is already stored.
     pub fn persist_atlas(
         &self,
         store_id: &str,
@@ -427,22 +396,7 @@ impl SnapshotStore {
         if index.atlases.contains_key(store_id) {
             return Ok(false);
         }
-        let path = self.atlas_path(store_id);
-        if let Ok(meta) = fs::metadata(&path) {
-            let last_used = index.tick();
-            index.atlases.insert(
-                store_id.to_string(),
-                AtlasEntry {
-                    bytes: meta.len(),
-                    corpus: corpus_digest.to_string(),
-                    last_used,
-                },
-            );
-            self.rescans.fetch_add(1, Ordering::Relaxed);
-            return Ok(false);
-        }
-        let _guard = self.write_guard()?;
-        write_atomic(&path, bytes, &self.config.faults)?;
+        write_atomic(&self.atlas_path(store_id), bytes, &self.config.faults)?;
         let last_used = index.tick();
         index.atlases.insert(
             store_id.to_string(),
@@ -461,18 +415,13 @@ impl SnapshotStore {
     pub fn quarantine_atlas(&self, store_id: &str) {
         let mut index = self.index.lock().unwrap();
         index.atlases.remove(store_id);
-        let guard = self.write_guard();
         self.quarantine_file(&self.atlas_path(store_id));
-        drop(guard);
     }
 
     /// Remove every stored atlas built from `corpus_digest`; returns
     /// how many were removed.
     pub fn remove_atlases_for_corpus(&self, corpus_digest: &str) -> usize {
         let mut index = self.index.lock().unwrap();
-        // Removal is idempotent and must not be blocked forever by a
-        // wedged sibling: lock if possible, proceed regardless.
-        let guard = self.write_guard();
         let doomed: Vec<String> = index
             .atlases
             .iter()
@@ -483,7 +432,6 @@ impl SnapshotStore {
             index.atlases.remove(id);
             let _ = self.unlink(&self.atlas_path(id));
         }
-        drop(guard);
         doomed.len()
     }
 
@@ -494,17 +442,15 @@ impl SnapshotStore {
         self.index.lock().unwrap().corpora.contains_key(digest)
     }
 
-    /// Read a corpus snapshot's bytes, counting a hit or miss. Index
-    /// misses re-probe the filesystem, exactly like
-    /// [`SnapshotStore::load_atlas`].
+    /// Read a corpus snapshot's bytes, counting a hit or miss, exactly
+    /// like [`SnapshotStore::load_atlas`].
     pub fn load_corpus(&self, digest: &str) -> Option<Vec<u8>> {
         self.load(digest, false)
     }
 
     /// Persist a corpus snapshot under its digest. Returns `false`
-    /// without writing when the store is read-only or the file already
-    /// exists — content-addressing makes re-persists no-ops, including
-    /// of snapshots a sibling process persisted after our boot scan.
+    /// without writing when the store is read-only or the snapshot is
+    /// already stored — content addressing makes re-persists no-ops.
     pub fn persist_corpus(
         &self,
         digest: &str,
@@ -518,24 +464,7 @@ impl SnapshotStore {
         if index.corpora.contains_key(digest) {
             return Ok(false);
         }
-        let path = self.corpus_path(digest);
-        if let Ok(meta) = fs::metadata(&path) {
-            let modified = meta.modified().unwrap_or_else(|_| SystemTime::now());
-            let last_used = index.tick();
-            index.corpora.insert(
-                digest.to_string(),
-                CorpusEntry {
-                    bytes: meta.len(),
-                    origin,
-                    modified,
-                    last_used,
-                },
-            );
-            self.rescans.fetch_add(1, Ordering::Relaxed);
-            return Ok(false);
-        }
-        let _guard = self.write_guard()?;
-        write_atomic(&path, bytes, &self.config.faults)?;
+        write_atomic(&self.corpus_path(digest), bytes, &self.config.faults)?;
         let last_used = index.tick();
         index.corpora.insert(
             digest.to_string(),
@@ -555,9 +484,7 @@ impl SnapshotStore {
     pub fn quarantine_corpus(&self, digest: &str) {
         let mut index = self.index.lock().unwrap();
         index.corpora.remove(digest);
-        let guard = self.write_guard();
         self.quarantine_file(&self.corpus_path(digest));
-        drop(guard);
     }
 
     /// Remove a stored corpus snapshot (the `DELETE /corpus/{digest}`
@@ -567,9 +494,7 @@ impl SnapshotStore {
         let mut index = self.index.lock().unwrap();
         let had = index.corpora.remove(digest).is_some();
         if had {
-            let guard = self.write_guard();
             let _ = self.unlink(&self.corpus_path(digest));
-            drop(guard);
         }
         had
     }
@@ -617,14 +542,15 @@ impl SnapshotStore {
         } else {
             index.corpora.contains_key(id)
         };
+        if !present {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
         let path = if is_atlas {
             self.atlas_path(id)
         } else {
             self.corpus_path(id)
         };
-        if !present {
-            return self.reprobe(&mut index, id, &path, is_atlas);
-        }
         match fs::read(&path) {
             Ok(bytes) => {
                 let tick = index.tick();
@@ -636,103 +562,21 @@ impl SnapshotStore {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(bytes)
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                // A sibling process evicted or removed this snapshot
-                // after we indexed it. Nothing is damaged — drop the
-                // stale entry and report a miss so the caller rebuilds.
+            Err(e) => {
                 if is_atlas {
                     index.atlases.remove(id);
                 } else {
                     index.corpora.remove(id);
                 }
-                self.rescans.fetch_add(1, Ordering::Relaxed);
+                // A file removed behind the index's back (by hand, or by
+                // the owner of a read-only store's directory) is not
+                // damage: drop the entry and let the caller rebuild.
+                if e.kind() != io::ErrorKind::NotFound {
+                    self.quarantine_file(&path);
+                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            Err(_) => {
-                if is_atlas {
-                    index.atlases.remove(id);
-                } else {
-                    index.corpora.remove(id);
-                }
-                let guard = self.write_guard();
-                self.quarantine_file(&path);
-                drop(guard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// An index miss re-probes the filesystem: a sibling process may
-    /// have persisted this snapshot after our boot scan. Anything found
-    /// is validated (full checksum via the peek) before being adopted
-    /// into the index and served as a hit.
-    fn reprobe(&self, index: &mut Index, id: &str, path: &Path, is_atlas: bool) -> Option<Vec<u8>> {
-        let Ok(bytes) = fs::read(path) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let adopted = if is_atlas {
-            match snapshot::peek_atlas(&bytes) {
-                Ok(peek) => {
-                    let last_used = index.tick();
-                    index.atlases.insert(
-                        id.to_string(),
-                        AtlasEntry {
-                            bytes: bytes.len() as u64,
-                            corpus: peek.corpus_digest,
-                            last_used,
-                        },
-                    );
-                    true
-                }
-                Err(e) => {
-                    let guard = self.write_guard();
-                    self.reject_file(path, &e);
-                    drop(guard);
-                    false
-                }
-            }
-        } else {
-            match snapshot::peek_corpus(&bytes) {
-                Ok(peek) if peek.digest == id => {
-                    let modified = fs::metadata(path)
-                        .and_then(|m| m.modified())
-                        .unwrap_or_else(|_| SystemTime::now());
-                    let last_used = index.tick();
-                    index.corpora.insert(
-                        id.to_string(),
-                        CorpusEntry {
-                            bytes: bytes.len() as u64,
-                            origin: peek.origin,
-                            modified,
-                            last_used,
-                        },
-                    );
-                    true
-                }
-                Ok(_) => {
-                    let guard = self.write_guard();
-                    self.quarantine_file(path);
-                    drop(guard);
-                    false
-                }
-                Err(e) => {
-                    let guard = self.write_guard();
-                    self.reject_file(path, &e);
-                    drop(guard);
-                    false
-                }
-            }
-        };
-        if adopted {
-            self.rescans.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(bytes)
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            None
         }
     }
 
@@ -763,9 +607,13 @@ impl SnapshotStore {
         }
     }
 
-    /// Unlink a snapshot file through the fault plan. A file a sibling
-    /// already removed counts as success.
+    /// Unlink a snapshot file through the fault plan. A file that is
+    /// already gone counts as success. Read-only stores only forget the
+    /// file: the directory belongs to its owner.
     fn unlink(&self, path: &Path) -> io::Result<()> {
+        if self.config.read_only {
+            return Ok(());
+        }
         self.config.faults.check(FaultOp::Unlink)?;
         match fs::remove_file(path) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
@@ -775,7 +623,7 @@ impl SnapshotStore {
 
     /// Evict least-recently-used files until under the budget: atlases
     /// first (rebuildable from their corpus), then corpora no remaining
-    /// atlas references. Callers hold the write lock. A failed unlink
+    /// atlas references. A failed unlink
     /// stops eviction (the entry stays indexed, the budget re-checks at
     /// the next write) rather than looping on the same victim.
     fn enforce_budget(&self, index: &mut Index) {
@@ -816,10 +664,6 @@ impl SnapshotStore {
             writes: self.writes.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            rescans: self.rescans.load(Ordering::Relaxed),
-            lock_acquisitions: self.lock.as_ref().map_or(0, |l| l.acquisitions()),
-            lock_steals: self.lock.as_ref().map_or(0, |l| l.steals()),
-            lock_contentions: self.lock.as_ref().map_or(0, |l| l.contentions()),
             atlas_files: index.atlases.len() as u64,
             corpus_files: index.corpora.len() as u64,
             atlas_bytes: index.atlases.values().map(|e| e.bytes).sum(),
@@ -835,27 +679,13 @@ fn lru_key<'a>(entries: impl Iterator<Item = (&'a String, u64)>) -> Option<Strin
         .map(|(k, _)| k.clone())
 }
 
-/// Whether a `.tmp` file belongs to a live sibling's in-flight write.
-/// Tmp names carry the writer's pid (`<name>.<ext>.<pid>.tmp`); an
-/// unparsable pid, a dead pid, or our own pid (we have no in-flight
-/// writes while scanning at open) all mean "sweep it".
-fn tmp_writer_alive(path: &Path) -> bool {
-    let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-        return false;
-    };
-    let Some(pid) = stem.rsplit('.').next().and_then(|p| p.parse::<u32>().ok()) else {
-        return false;
-    };
-    pid != std::process::id() && lock::pid_alive(pid)
-}
-
-/// Write `bytes` to `path` atomically: a sibling pid-tagged `.tmp` file
-/// is written, fsynced, then renamed over the final path (the directory
-/// is fsynced best-effort afterwards). Readers either see the old file
-/// or the complete new one, never a torn write; two processes writing
-/// the same content-addressed path use distinct tmp names, and whichever
-/// rename lands last wins with identical bytes. On failure the tmp file
-/// is removed best-effort (a crash leaves it for the boot sweep).
+/// Write `bytes` to `path` atomically: `<name>.tmp` is written,
+/// fsynced, then renamed over the final path (the directory is fsynced
+/// best-effort afterwards). Readers either see the old file or the
+/// complete new one, never a torn write. One tmp name per path is
+/// enough: callers hold the index mutex across the write, so the owner
+/// never has two writes in flight. On failure the tmp file is removed
+/// best-effort (a crash leaves it for the boot sweep).
 fn write_atomic(path: &Path, bytes: &[u8], faults: &FaultPlan) -> io::Result<()> {
     let file_name = path
         .file_name()
@@ -864,7 +694,7 @@ fn write_atomic(path: &Path, bytes: &[u8], faults: &FaultPlan) -> io::Result<()>
     let parent = path
         .parent()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "bad snapshot path"))?;
-    let tmp = parent.join(format!("{file_name}.{}.{TMP_EXT}", std::process::id()));
+    let tmp = parent.join(format!("{file_name}.{TMP_EXT}"));
     let result = (|| {
         faults.check(FaultOp::Create)?;
         let mut f = fs::File::create(&tmp)?;
@@ -899,6 +729,7 @@ fn write_atomic(path: &Path, bytes: &[u8], faults: &FaultPlan) -> io::Result<()>
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -979,13 +810,13 @@ mod tests {
         assert_eq!(stats.corpus_files, 1);
         assert_eq!(stats.corpus_bytes, bytes.len() as u64);
         assert!(
-            stats.lock_acquisitions >= 1,
-            "the persist must have taken the write lock"
+            scratch.0.join(lock::LOCK_FILE).exists(),
+            "the owner lock is held while the store is open"
         );
-        assert_eq!(stats.lock_steals, 0);
+        drop(store);
         assert!(
             !scratch.0.join(lock::LOCK_FILE).exists(),
-            "the short-held lock must be released"
+            "dropping the store releases the lock"
         );
     }
 
@@ -1020,44 +851,28 @@ mod tests {
     fn tmp_leftovers_are_swept_on_open() {
         let scratch = Scratch::new();
         let store = scratch.store(0);
-        // No pid in the name (legacy/garbage) and a dead writer's pid
-        // both sweep; a live sibling's in-flight tmp is left alone.
+        // The owner sweeps every tmp, whatever its name: no write can be
+        // in flight while it opens. That includes the pid-tagged names
+        // older builds wrote, even when the pid is alive.
         let torn = scratch.0.join("atlases").join("torn.atlas.tmp");
         fs::write(&torn, b"half a snapshot").unwrap();
-        let dead = {
-            let mut child = std::process::Command::new("true").spawn().unwrap();
-            let pid = child.id();
-            child.wait().unwrap();
-            scratch.0.join("atlases").join(format!("x.atlas.{pid}.tmp"))
-        };
-        fs::write(&dead, b"dead writer").unwrap();
-        drop(store);
-
-        let store = scratch.store(0);
-        assert!(!torn.exists(), "tmp orphan must be swept at open");
-        assert!(!dead.exists(), "dead writer's tmp must be swept at open");
-        assert_eq!(store.stats().corrupt, 0, "a tmp sweep is not corruption");
-    }
-
-    #[test]
-    fn live_sibling_tmp_files_survive_the_sweep() {
-        let scratch = Scratch::new();
-        // A long-lived child stands in for a sibling process mid-write.
         let mut child = std::process::Command::new("sleep")
             .arg("30")
             .spawn()
             .unwrap();
-        let live = scratch
+        let tagged = scratch
             .0
-            .join("atlases")
-            .join(format!("y.atlas.{}.tmp", child.id()));
-        fs::create_dir_all(scratch.0.join("atlases")).unwrap();
-        fs::write(&live, b"in flight").unwrap();
+            .join("corpora")
+            .join(format!("x.corpus.{}.tmp", child.id()));
+        fs::write(&tagged, b"older build's tmp").unwrap();
+        drop(store);
 
-        let _store = scratch.store(0);
-        assert!(live.exists(), "a live sibling's tmp must not be swept");
+        let store = scratch.store(0);
         child.kill().unwrap();
         child.wait().unwrap();
+        assert!(!torn.exists(), "tmp orphan must be swept at open");
+        assert!(!tagged.exists(), "pid-tagged tmp must be swept at open");
+        assert_eq!(store.stats().corrupt, 0, "a tmp sweep is not corruption");
     }
 
     #[test]
@@ -1200,26 +1015,35 @@ mod tests {
     fn read_only_mode_reads_but_never_writes() {
         let scratch = Scratch::new();
         let (digest, bytes) = corpus_bytes();
-        scratch
-            .store(0)
+        let owner = scratch.store(0);
+        owner
             .persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
             .unwrap();
 
+        // Opens beside the live owner: read-only never takes the lock.
         let store = SnapshotStore::open(StoreConfig {
             read_only: true,
             ..StoreConfig::new(scratch.0.clone())
         })
         .unwrap();
+        drop(owner);
+        assert!(
+            !scratch.0.join(lock::LOCK_FILE).exists(),
+            "only the owner ever held the lock"
+        );
         assert_eq!(store.load_corpus(&digest).unwrap(), bytes);
         assert!(!store.persist_atlas("x", &digest, b"data").unwrap());
         assert!(!store.contains_atlas("x"));
-        let stats = store.stats();
-        assert_eq!(stats.writes, 0);
-        assert_eq!(
-            stats.lock_acquisitions, 0,
-            "read-only mode never takes the lock"
-        );
-        assert!(!scratch.0.join(lock::LOCK_FILE).exists());
+        assert_eq!(store.stats().writes, 0);
+        // A DELETE or TTL purge on a read-only server forgets the
+        // corpus but leaves the owner's file alone.
+        assert!(store.remove_corpus(&digest));
+        assert!(!store.contains_corpus(&digest));
+        assert!(scratch
+            .0
+            .join("corpora")
+            .join(format!("{digest}.corpus"))
+            .exists());
     }
 
     #[test]
@@ -1249,6 +1073,13 @@ mod tests {
             "damage is still counted, just not moved"
         );
         assert!(!store.contains_atlas("bogus"));
+        for dir in ["corpora", "quarantine"] {
+            assert!(
+                !scratch.0.join(dir).exists(),
+                "read-only boot must not create {dir}/"
+            );
+        }
+        assert!(!scratch.0.join(lock::LOCK_FILE).exists());
     }
 
     #[test]
@@ -1277,74 +1108,63 @@ mod tests {
         assert_eq!(store.stats().atlas_files, 1);
     }
 
-    // -- multi-process behaviour (two stores, one directory) ----------
-
     #[test]
-    fn index_miss_reprobes_a_sibling_processes_write() {
+    fn vanished_file_degrades_to_a_miss_not_an_error() {
         let scratch = Scratch::new();
-        let a = scratch.store(0);
-        let b = scratch.store(0); // boots on the same (empty) dir
+        let store = scratch.store(0);
         let (digest, bytes) = corpus_bytes();
-        a.persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
+        store
+            .persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
             .unwrap();
+        fs::remove_file(scratch.0.join("corpora").join(format!("{digest}.corpus"))).unwrap();
 
-        // B never saw the persist — its boot scan predates it. The read
-        // path must find the file anyway.
-        assert!(!b.contains_corpus(&digest));
-        assert_eq!(b.load_corpus(&digest).unwrap(), bytes);
-        assert!(b.contains_corpus(&digest), "re-probe adopts the snapshot");
-        let stats = b.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 0));
-        assert_eq!(stats.rescans, 1);
-        assert_eq!(stats.corrupt, 0);
-    }
-
-    #[test]
-    fn sibling_eviction_degrades_to_a_miss_not_an_error() {
-        let scratch = Scratch::new();
-        let a = scratch.store(0);
-        let (digest, bytes) = corpus_bytes();
-        a.persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
-            .unwrap();
-        a.persist_atlas("shared", &digest, &bytes).ok();
-
-        let b = scratch.store(0); // indexes the corpus file at boot
-        assert!(b.contains_corpus(&digest));
-        // A (the "sibling process") removes it behind B's back.
-        assert!(a.remove_corpus(&digest));
-
-        // B's load must degrade to a miss — no quarantine, no panic —
+        // The load must degrade to a miss — no quarantine, no panic —
         // so the serving layer rebuilds instead of erroring.
-        assert!(b.load_corpus(&digest).is_none());
-        let stats = b.stats();
+        assert!(store.load_corpus(&digest).is_none());
+        let stats = store.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.corrupt, 0, "a vanished file is not corruption");
-        assert!(stats.rescans >= 1, "the stale entry was dropped");
-        assert!(!b.contains_corpus(&digest));
-        // And B can persist it again afterwards.
-        assert!(b
+        assert!(
+            !store.contains_corpus(&digest),
+            "the stale entry was dropped"
+        );
+        // And it can be persisted again afterwards.
+        assert!(store
             .persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
             .unwrap());
     }
 
-    #[test]
-    fn persist_adopts_a_sibling_processes_snapshot_without_rewriting() {
-        let scratch = Scratch::new();
-        let a = scratch.store(0);
-        let b = scratch.store(0);
-        let (digest, bytes) = corpus_bytes();
-        a.persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
-            .unwrap();
+    // -- ownership -----------------------------------------------------
 
-        // B re-persists the same content: no duplicate write, but the
-        // index adopts the file so accounting and loads work.
-        assert!(!b
+    #[test]
+    fn a_lock_naming_our_own_pid_is_a_previous_incarnations() {
+        // A killed server restarted as the same pid (pid 1 in a
+        // container restarted on the same volume) finds its own pid in
+        // the lock it left behind. That owner is dead: take over.
+        let scratch = Scratch::new();
+        let boot_id = lock::current_boot_id();
+        fs::write(
+            scratch.0.join(lock::LOCK_FILE),
+            format!(
+                "pid={}\nboot_id={boot_id}\nacquired_at_ms=1\n",
+                std::process::id()
+            ),
+        )
+        .unwrap();
+        let store = scratch.store(0);
+        let (digest, bytes) = corpus_bytes();
+        assert!(store
             .persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
             .unwrap());
-        assert_eq!(b.stats().writes, 0);
-        assert_eq!(b.stats().rescans, 1);
-        assert!(b.contains_corpus(&digest));
-        assert_eq!(b.stats().corpus_bytes, bytes.len() as u64);
+        let record = fs::read_to_string(scratch.0.join(lock::LOCK_FILE)).unwrap();
+        assert!(
+            !record.contains("acquired_at_ms=1\n"),
+            "the lock must be freshly ours: {record}"
+        );
+        // This process now holds the root, so a second open is refused.
+        let err = SnapshotStore::open(StoreConfig::new(scratch.0.clone()))
+            .expect_err("one owner per data dir");
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 
     // -- fault injection ----------------------------------------------
@@ -1382,15 +1202,20 @@ mod tests {
                 visible.is_empty(),
                 "{op:?}: no visible snapshot may appear: {visible:?}"
             );
-            assert!(
-                !scratch.0.join(lock::LOCK_FILE).exists(),
-                "{op:?}: the lock must be released on the error path"
-            );
             // The store stays usable: a clean retry succeeds.
             assert!(store
                 .persist_corpus(&digest, CorpusOrigin::Uploaded, &bytes)
                 .unwrap());
             assert_eq!(store.load_corpus(&digest).unwrap(), bytes);
+            assert!(
+                scratch.0.join(lock::LOCK_FILE).exists(),
+                "{op:?}: the owner lock is held while the store is open"
+            );
+            drop(store);
+            assert!(
+                !scratch.0.join(lock::LOCK_FILE).exists(),
+                "{op:?}: dropping the store releases the lock"
+            );
         }
     }
 

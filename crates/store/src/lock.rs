@@ -1,52 +1,54 @@
-//! Advisory cross-process locking for the snapshot store.
+//! The snapshot store's owner lock.
 //!
-//! Two `atlas-serve` processes pointed at one `--data-dir` must not
-//! race a persist's commit rename against a sibling's evicting unlink.
-//! The store serializes its *mutations* (persist, evict, quarantine,
-//! remove) behind a short-held write lock: a `store.lock` file in the
-//! store root, acquired with `O_CREAT|O_EXCL` semantics
-//! (`OpenOptions::create_new`) — the one atomic "create if absent"
-//! primitive std exposes on every platform without vendoring libc for
-//! `flock(2)`. The read path never takes it (readers tolerate renames
-//! because they are atomic, and tolerate unlinks by degrading to a
-//! rebuild), and read-only stores never create it at all.
+//! One `atlas-serve` process owns a `--data-dir` at a time. A read-write
+//! [`SnapshotStore`](crate::SnapshotStore) takes the lock when it opens
+//! and holds it until it is dropped, so no mutation ever races another
+//! process's: the owner's index *is* the directory's state. The lock is
+//! a `store.lock` file in the store root, created with `O_CREAT|O_EXCL`
+//! semantics (`OpenOptions::create_new`) — the one atomic "create if
+//! absent" primitive std exposes on every platform without vendoring
+//! libc for `flock(2)`. Read-only stores never create it.
 //!
-//! The lock file records its owner — `{pid, boot_id, acquired_at}` —
-//! so a lock abandoned by a crashed process can be detected and broken:
-//! an owner whose pid no longer exists (or whose boot id is from a
-//! previous boot, so its pid is meaningless) is stale. Breaking renames
-//! the lock file aside before unlinking it, so when two processes
-//! decide to break the same stale lock, exactly one rename wins and the
-//! loser simply retries acquisition; a freshly re-acquired lock is
-//! never unlinked by a slow breaker. Every break is counted
-//! ([`StoreLock::steals`]) and surfaced through `/metrics`.
+//! The lock file records its owner — `{pid, boot_id, acquired_at}` — so
+//! the lock a killed owner left behind is taken over at the next open.
+//! `atlas-serve` never exits cleanly (it is killed), so takeover is the
+//! normal restart path. An owner is stale when it ran under another
+//! boot (its pid means nothing now), when its pid is dead, or when its
+//! pid is our own but this process does not hold the root (a restarted
+//! container's pid 1 gets pid 1 again). A record that cannot be parsed
+//! (a crash between creating the file and writing it) is stale once
+//! older than a 1 s grace period. Breaking renames the lock file
+//! aside before unlinking it, so when two processes break the same
+//! stale lock exactly one rename wins, and a freshly re-created lock is
+//! never unlinked by a slow breaker. A live owner makes the open fail
+//! at once; nothing waits or polls.
 
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// The lock file's name inside the store root.
-pub const LOCK_FILE: &str = "store.lock";
-
-/// How long an acquirer sleeps between attempts while the lock is held.
-const POLL: Duration = Duration::from_millis(2);
+pub(crate) const LOCK_FILE: &str = "store.lock";
 
 /// A lock file that cannot be parsed (a crash between creating it and
 /// writing the owner record) is treated as stale once older than this.
 const UNPARSABLE_GRACE: Duration = Duration::from_secs(1);
 
+/// Canonical roots whose lock this process holds. It is what tells a
+/// record naming our own pid apart from our own live lock, and it
+/// refuses a second open of a root within one process.
+static HELD: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+
 /// The owner record inside a lock file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockOwner {
-    /// The owning process id.
-    pub pid: u32,
-    /// The boot id the owner was running under (`"unknown"` where the
-    /// platform offers none).
-    pub boot_id: String,
+#[derive(Debug, PartialEq, Eq)]
+struct LockOwner {
+    pid: u32,
+    /// `"unknown"` where the platform offers no boot id.
+    boot_id: String,
     /// When the lock was acquired, in Unix milliseconds.
-    pub acquired_at_ms: u64,
+    acquired_at_ms: u64,
 }
 
 impl LockOwner {
@@ -88,187 +90,138 @@ impl LockOwner {
     }
 
     /// Whether this owner can no longer be holding the lock: it ran
-    /// under a previous boot (its pid means nothing now), or its pid is
-    /// dead on the current boot.
-    fn is_stale(&self, current_boot: &str) -> bool {
-        if self.boot_id != "unknown" && current_boot != "unknown" && self.boot_id != current_boot {
+    /// under a previous boot, its pid is dead, or its pid is ours —
+    /// callers check [`HELD`] first, so an own-pid record is a previous
+    /// incarnation's.
+    fn is_stale(&self) -> bool {
+        let boot = current_boot_id();
+        if self.boot_id != "unknown" && boot != "unknown" && self.boot_id != boot {
             return true;
         }
-        !pid_alive(self.pid)
+        self.pid == std::process::id() || !pid_alive(self.pid)
     }
 }
 
-/// The store's write lock: per-store, short-held, stale-breaking.
+/// The store's owner lock; the lock file is unlinked when it drops.
 #[derive(Debug)]
-pub struct StoreLock {
+pub(crate) struct StoreLock {
     path: PathBuf,
-    timeout: Duration,
-    boot_id: String,
-    acquisitions: AtomicU64,
-    steals: AtomicU64,
-    contentions: AtomicU64,
-    grave_seq: AtomicU64,
+    root: PathBuf,
 }
 
 impl StoreLock {
-    /// A lock handle for the store rooted at `root`. Nothing touches
-    /// the filesystem until [`StoreLock::acquire`].
-    pub fn new(root: &Path, timeout: Duration) -> StoreLock {
-        StoreLock {
-            path: root.join(LOCK_FILE),
-            timeout,
-            boot_id: current_boot_id(),
-            acquisitions: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            contentions: AtomicU64::new(0),
-            grave_seq: AtomicU64::new(0),
+    /// Take the lock on the store rooted at `root` (which must exist),
+    /// breaking a stale owner's. A live owner — another process, or
+    /// this one through an earlier open of the same root — fails at
+    /// once with `WouldBlock`, naming the lock file and the holder's pid.
+    pub(crate) fn acquire(root: &Path) -> io::Result<StoreLock> {
+        let path = root.join(LOCK_FILE);
+        let root = fs::canonicalize(root)?;
+        let mut held = HELD.lock().unwrap_or_else(PoisonError::into_inner);
+        if held.contains(&root) {
+            return Err(held_by(&path, &std::process::id().to_string()));
         }
-    }
-
-    /// The lock file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Successful acquisitions so far.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
-    }
-
-    /// Stale locks broken (dead pid, previous boot, or unparsable past
-    /// the grace period).
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Acquisitions that found the lock live-held and had to wait.
-    pub fn contentions(&self) -> u64 {
-        self.contentions.load(Ordering::Relaxed)
-    }
-
-    /// Acquire the lock, breaking stale holders, waiting up to the
-    /// configured timeout behind live ones. The returned guard unlinks
-    /// the lock file on drop.
-    pub fn acquire(&self) -> io::Result<LockGuard<'_>> {
-        let deadline = Instant::now() + self.timeout;
-        let mut contended = false;
         loop {
-            match OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&self.path)
-            {
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(mut file) => {
-                    // Owner record and fsync are best-effort: an
-                    // unwritten lock file still excludes, it just
-                    // ages into "unparsable ⇒ stale" if we die here.
+                    // The owner record is best-effort and never fsynced:
+                    // an unwritten lock file still excludes, and ages
+                    // into "unparsable ⇒ stale" if we die here; after a
+                    // machine crash the boot id changes anyway.
                     let _ = file.write_all(LockOwner::current().render().as_bytes());
-                    let _ = file.sync_all();
-                    self.acquisitions.fetch_add(1, Ordering::Relaxed);
-                    return Ok(LockGuard { lock: self });
+                    held.push(root.clone());
+                    return Ok(StoreLock { path, root });
                 }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    if self.try_break_stale() {
-                        continue; // broken (or vanished) — retry immediately
-                    }
-                    if !contended {
-                        contended = true;
-                        self.contentions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if Instant::now() >= deadline {
-                        let holder = fs::read_to_string(&self.path)
-                            .ok()
-                            .and_then(|t| LockOwner::parse(&t));
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "store lock {} held by {holder:?} past the {:?} timeout",
-                                self.path.display(),
-                                self.timeout
-                            ),
-                        ));
-                    }
-                    std::thread::sleep(POLL);
-                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => break_if_stale(&path)?,
                 Err(e) => return Err(e),
             }
         }
     }
+}
 
-    /// If the current lock file is stale, break it. Returns `true` when
-    /// the caller should retry `create_new` immediately (the lock was
-    /// broken, already gone, or changed hands under us), `false` when a
-    /// live owner holds it.
-    fn try_break_stale(&self) -> bool {
-        let Ok(raw) = fs::read(&self.path) else {
-            return true; // vanished between create_new and read — retry
-        };
-        let stale = match LockOwner::parse(&String::from_utf8_lossy(&raw)) {
-            Some(owner) => owner.is_stale(&self.boot_id),
-            // No readable owner record: stale only once old enough that
-            // a crash mid-create (not a racing writer) explains it.
-            None => fs::metadata(&self.path)
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|m| SystemTime::now().duration_since(m).ok())
-                .is_some_and(|age| age > UNPARSABLE_GRACE),
-        };
-        if !stale {
-            return false;
-        }
-        // Re-read: if the file changed since we judged it stale, the
-        // lock changed hands and our verdict is void.
-        match fs::read(&self.path) {
-            Ok(recheck) if recheck == raw => {}
-            Ok(_) => return true,
-            Err(_) => return true,
-        }
-        // Break by rename-then-unlink: of N processes breaking the same
-        // stale lock, exactly one rename succeeds; the others see it
-        // vanish and retry acquisition. Unlinking the renamed grave can
-        // never hit a freshly re-acquired lock.
-        let grave = self.path.with_file_name(format!(
-            "{LOCK_FILE}.stale.{}.{}",
-            std::process::id(),
-            self.grave_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        if fs::rename(&self.path, &grave).is_ok() {
-            let _ = fs::remove_file(&grave);
-            self.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        true
+impl Drop for StoreLock {
+    fn drop(&mut self) {
+        // Unlink before leaving `HELD`, under its mutex: an open of the
+        // same root in this process must not judge our file stale and
+        // have it unlinked under its own new lock.
+        let mut held = HELD.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = fs::remove_file(&self.path);
+        held.retain(|r| r != &self.root);
     }
 }
 
-/// Holds the store's write lock; unlinks the lock file on drop.
-#[derive(Debug)]
-pub struct LockGuard<'a> {
-    lock: &'a StoreLock,
+fn held_by(path: &Path, holder: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::WouldBlock,
+        format!(
+            "store lock {} is held by pid {holder}: another atlas-serve owns this data dir",
+            path.display()
+        ),
+    )
 }
 
-impl Drop for LockGuard<'_> {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.lock.path);
+/// Break the lock file at `path` if its owner is stale. `Ok` means
+/// retry the create (the lock was broken, vanished, or changed hands);
+/// a live owner is a `WouldBlock` error.
+fn break_if_stale(path: &Path) -> io::Result<()> {
+    let raw = match fs::read(path) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    let owner = LockOwner::parse(&String::from_utf8_lossy(&raw));
+    let stale = match &owner {
+        Some(owner) => owner.is_stale(),
+        // No readable owner record: stale only once old enough that a
+        // crash mid-create (not a racing opener) explains it.
+        None => fs::metadata(path)
+            .and_then(|m| m.modified())
+            .ok()
+            .and_then(|m| SystemTime::now().duration_since(m).ok())
+            .is_some_and(|age| age > UNPARSABLE_GRACE),
+    };
+    if !stale {
+        let holder = owner.map_or("unknown (record not yet written)".to_string(), |o| {
+            o.pid.to_string()
+        });
+        return Err(held_by(path, &holder));
+    }
+    // Re-read: if the file changed since we judged it stale, the lock
+    // changed hands and our verdict is void.
+    if fs::read(path).ok().as_ref() != Some(&raw) {
+        return Ok(());
+    }
+    // Of N processes breaking the same stale lock, exactly one rename
+    // succeeds; the others see it vanish and retry the create.
+    let grave = path.with_file_name(format!("{LOCK_FILE}.stale.{}", std::process::id()));
+    match fs::rename(path, &grave) {
+        Ok(()) => {
+            let _ = fs::remove_file(&grave);
+            Ok(())
+        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
     }
 }
 
 /// Whether a pid currently exists. On Linux this is a `/proc` probe —
 /// no syscall wrapper, no libc. Elsewhere pids are conservatively
-/// assumed alive (locks there go stale only via boot-id mismatch or an
-/// unparsable record), trading liveness for never breaking a live lock.
+/// assumed alive (locks there go stale only via boot-id mismatch, our
+/// own pid, or an unparsable record), trading liveness for never
+/// breaking a live lock.
 #[cfg(target_os = "linux")]
-pub(crate) fn pid_alive(pid: u32) -> bool {
+fn pid_alive(pid: u32) -> bool {
     Path::new("/proc").join(pid.to_string()).exists()
 }
 
 #[cfg(not(target_os = "linux"))]
-pub(crate) fn pid_alive(_pid: u32) -> bool {
+fn pid_alive(_pid: u32) -> bool {
     true
 }
 
 /// The machine's boot id, so pids recorded before a reboot are never
 /// mistaken for live processes that happen to share the number.
-fn current_boot_id() -> String {
+pub(crate) fn current_boot_id() -> String {
     fs::read_to_string("/proc/sys/kernel/random/boot_id")
         .ok()
         .map(|s| s.trim().to_string())
@@ -279,7 +232,7 @@ fn current_boot_id() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -294,6 +247,23 @@ mod tests {
             ));
             fs::create_dir_all(&dir).unwrap();
             Scratch(dir)
+        }
+
+        fn lock_path(&self) -> PathBuf {
+            self.0.join(LOCK_FILE)
+        }
+
+        fn write_owner(&self, pid: u32, boot_id: &str) {
+            let owner = LockOwner {
+                pid,
+                boot_id: boot_id.to_string(),
+                acquired_at_ms: 1,
+            };
+            fs::write(self.lock_path(), owner.render()).unwrap();
+        }
+
+        fn owner(&self) -> LockOwner {
+            LockOwner::parse(&fs::read_to_string(self.lock_path()).unwrap()).unwrap()
         }
     }
 
@@ -316,110 +286,96 @@ mod tests {
     #[test]
     fn acquire_creates_the_lock_file_and_release_removes_it() {
         let scratch = Scratch::new();
-        let lock = StoreLock::new(&scratch.0, Duration::from_secs(1));
         {
-            let _guard = lock.acquire().unwrap();
-            let text = fs::read_to_string(lock.path()).unwrap();
-            let owner = LockOwner::parse(&text).expect("owner record");
+            let _lock = StoreLock::acquire(&scratch.0).unwrap();
+            let owner = scratch.owner();
             assert_eq!(owner.pid, std::process::id());
             assert!(owner.acquired_at_ms > 0);
         }
-        assert!(!lock.path().exists(), "guard drop must unlink the lock");
-        assert_eq!(lock.acquisitions(), 1);
-        assert_eq!((lock.steals(), lock.contentions()), (0, 0));
+        assert!(!scratch.lock_path().exists(), "drop must unlink the lock");
+        // Released means re-acquirable within the same process.
+        drop(StoreLock::acquire(&scratch.0).unwrap());
     }
 
     #[test]
-    fn contended_acquire_waits_for_the_live_holder() {
+    fn live_holder_is_refused_at_once() {
         let scratch = Scratch::new();
-        // Leaked so the guard moved into the holder thread is 'static.
-        let a: &'static StoreLock =
-            Box::leak(Box::new(StoreLock::new(&scratch.0, Duration::from_secs(5))));
-        let b = StoreLock::new(&scratch.0, Duration::from_secs(5));
-        let guard = a.acquire().unwrap();
-        let release = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(100));
-            drop(guard);
-        });
-        let started = Instant::now();
-        let _guard = b.acquire().unwrap();
+        // A long-lived child stands in for another owner process.
+        let mut child = std::process::Command::new("sleep")
+            .arg("30")
+            .spawn()
+            .unwrap();
+        scratch.write_owner(child.id(), &current_boot_id());
+        let err = StoreLock::acquire(&scratch.0).expect_err("a live owner holds");
+        child.kill().unwrap();
+        child.wait().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        let text = err.to_string();
+        assert!(text.contains(LOCK_FILE), "names the lock file: {text}");
         assert!(
-            started.elapsed() >= Duration::from_millis(50),
-            "must have waited for the holder"
+            text.contains(&child.id().to_string()),
+            "names the holder: {text}"
         );
-        assert_eq!(b.contentions(), 1);
-        // steals()==0 proves the lock was released to us, never broken.
-        assert_eq!(b.steals(), 0, "a live lock is never stolen");
-        release.join().unwrap();
+        assert_eq!(
+            scratch.owner().pid,
+            child.id(),
+            "a live lock is never broken"
+        );
     }
 
     #[test]
-    fn live_holder_times_out_other_acquirers() {
+    fn a_second_open_in_the_same_process_is_refused() {
         let scratch = Scratch::new();
-        let a = StoreLock::new(&scratch.0, Duration::from_secs(1));
-        let b = StoreLock::new(&scratch.0, Duration::from_millis(60));
-        let _guard = a.acquire().unwrap();
-        let err = b.acquire().expect_err("must time out");
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert!(
-            err.to_string().contains(&std::process::id().to_string()),
-            "timeout names the holder: {err}"
-        );
-        assert!(a.path().exists(), "the held lock must survive");
+        let _lock = StoreLock::acquire(&scratch.0).unwrap();
+        let err = StoreLock::acquire(&scratch.0).expect_err("the root is held");
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(scratch.lock_path().exists(), "the held lock must survive");
     }
 
     #[test]
-    fn dead_pid_locks_are_broken_and_counted() {
+    fn dead_pid_locks_are_taken_over() {
         let scratch = Scratch::new();
-        let lock = StoreLock::new(&scratch.0, Duration::from_millis(200));
-        let stale = LockOwner {
-            pid: dead_pid(),
-            boot_id: current_boot_id(),
-            acquired_at_ms: 1,
-        };
-        fs::write(lock.path(), stale.render()).unwrap();
-        let _guard = lock.acquire().expect("stale lock must be broken");
-        assert_eq!(lock.steals(), 1);
-        assert_eq!(lock.acquisitions(), 1);
-        let owner = LockOwner::parse(&fs::read_to_string(lock.path()).unwrap()).unwrap();
-        assert_eq!(owner.pid, std::process::id());
+        scratch.write_owner(dead_pid(), &current_boot_id());
+        let _lock = StoreLock::acquire(&scratch.0).expect("stale lock must be broken");
+        assert_eq!(scratch.owner().pid, std::process::id());
     }
 
     #[test]
     fn previous_boot_locks_are_stale_even_with_a_live_pid() {
         let scratch = Scratch::new();
-        let lock = StoreLock::new(&scratch.0, Duration::from_millis(200));
-        let stale = LockOwner {
-            pid: std::process::id(), // alive — but from "another boot"
-            boot_id: "not-this-boot".to_string(),
-            acquired_at_ms: 1,
-        };
-        fs::write(lock.path(), stale.render()).unwrap();
+        let mut child = std::process::Command::new("sleep")
+            .arg("30")
+            .spawn()
+            .unwrap();
+        // Alive — but from "another boot".
+        scratch.write_owner(child.id(), "not-this-boot");
+        let taken = StoreLock::acquire(&scratch.0);
+        child.kill().unwrap();
+        child.wait().unwrap();
         if current_boot_id() == "unknown" {
             return; // platform without boot ids: rule can't apply
         }
-        let _guard = lock.acquire().expect("cross-boot lock must be broken");
-        assert_eq!(lock.steals(), 1);
+        let _lock = taken.expect("cross-boot lock must be broken");
+        assert_eq!(scratch.owner().pid, std::process::id());
     }
 
     #[test]
     fn unparsable_lock_files_break_only_after_the_grace_period() {
         let scratch = Scratch::new();
-        let lock = StoreLock::new(&scratch.0, Duration::from_millis(60));
-        fs::write(lock.path(), b"garbage").unwrap();
-        // Fresh garbage could be a racing writer mid-create: wait.
-        let err = lock.acquire().expect_err("fresh unparsable file holds");
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        fs::write(scratch.lock_path(), b"garbage").unwrap();
+        // Fresh garbage could be a racing opener mid-create: refuse.
+        let err = StoreLock::acquire(&scratch.0).expect_err("fresh unparsable file holds");
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
         // Age the file past the grace period; now it is a crash residue.
         let old = SystemTime::now() - (UNPARSABLE_GRACE + Duration::from_secs(1));
         fs::File::options()
             .write(true)
-            .open(lock.path())
+            .open(scratch.lock_path())
             .unwrap()
             .set_modified(old)
             .unwrap();
-        let _guard = lock.acquire().expect("aged unparsable file is stale");
-        assert_eq!(lock.steals(), 1);
+        let _lock = StoreLock::acquire(&scratch.0).expect("aged unparsable file is stale");
+        assert_eq!(scratch.owner().pid, std::process::id());
     }
 
     #[test]
