@@ -3,9 +3,8 @@
 //! The paper collects all per-cuisine "string patterns" into a unique set,
 //! label-encodes them, and turns each cuisine's pattern collection into a
 //! feature vector. [`LabelEncoder`] is the `sklearn.preprocessing.
-//! LabelEncoder` equivalent; [`incidence_matrix`] and
-//! [`weighted_incidence_matrix`] build binary / support-weighted
-//! entity × vocabulary matrices from encoded id lists.
+//! LabelEncoder` equivalent; [`incidence_matrix`] builds the binary
+//! entity × vocabulary matrix from encoded id lists.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -86,21 +85,6 @@ pub fn incidence_matrix(rows: &[Vec<usize>], vocab_size: usize) -> Vec<Vec<f64>>
         .collect()
 }
 
-/// Build a weighted incidence matrix from `(code, weight)` pairs (e.g.
-/// pattern supports). Later duplicates overwrite earlier ones.
-pub fn weighted_incidence_matrix(rows: &[Vec<(usize, f64)>], vocab_size: usize) -> Vec<Vec<f64>> {
-    rows.iter()
-        .map(|pairs| {
-            let mut v = vec![0.0; vocab_size];
-            for &(c, w) in pairs {
-                assert!(c < vocab_size, "code {c} out of vocabulary {vocab_size}");
-                v[c] = w;
-            }
-            v
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,12 +118,6 @@ mod tests {
         assert_eq!(m[0], vec![1.0, 0.0, 1.0]);
         assert_eq!(m[1], vec![0.0, 1.0, 0.0]);
         assert_eq!(m[2], vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn weighted_incidence_carries_supports() {
-        let m = weighted_incidence_matrix(&[vec![(0, 0.4), (2, 0.2)]], 3);
-        assert_eq!(m[0], vec![0.4, 0.0, 0.2]);
     }
 
     #[test]

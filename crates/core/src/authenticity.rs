@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use recipedb::catalog::TokenId;
 use recipedb::{Cuisine, ItemKind, RecipeDb};
 
-/// Cuisines × items prevalence and relative-prevalence matrices.
+/// Cuisines × items relative-prevalence matrix.
 ///
 /// Rows are in `cuisines` order — `Cuisine::ALL` for the paper's corpus,
 /// or the subset actually present in an uploaded one, so a cuisine's row
@@ -26,9 +26,8 @@ pub struct AuthenticityMatrix {
     pub cuisines: Vec<Cuisine>,
     /// Item universe (token ids), in column order.
     pub items: Vec<TokenId>,
-    /// `prevalence[c][j]` = P of item `items[j]` in cuisine `cuisines[c]`.
-    pub prevalence: Vec<Vec<f64>>,
-    /// `relative[c][j]` = prevalence − mean prevalence over other cuisines.
+    /// `relative[c][j]` = prevalence of item `items[j]` in cuisine
+    /// `cuisines[c]` − its mean prevalence over the other cuisines.
     pub relative: Vec<Vec<f64>>,
 }
 
@@ -92,7 +91,6 @@ impl AuthenticityMatrix {
         AuthenticityMatrix {
             cuisines: cuisines.to_vec(),
             items,
-            prevalence,
             relative,
         }
     }
@@ -164,10 +162,24 @@ mod tests {
 
     #[test]
     fn prevalence_rows_are_probabilities() {
-        let m = AuthenticityMatrix::ingredients_over(&db(), &Cuisine::ALL);
+        // Prevalence is counted here, item by item, and must both be a
+        // probability and reproduce `relative` as P_c − mean_{k≠c} P_k.
+        let db = db();
+        let m = AuthenticityMatrix::ingredients_over(&db, &Cuisine::ALL);
         assert!(m.n_items() > 100);
-        for row in &m.prevalence {
-            assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
+        let n = Cuisine::ALL.len() as f64;
+        for j in (0..m.n_items()).step_by(97) {
+            let item = db.catalog().item_of(m.items[j]).unwrap();
+            let p: Vec<f64> = Cuisine::ALL
+                .iter()
+                .map(|&c| db.item_support(item, c))
+                .collect();
+            assert!(p.iter().all(|p| (0.0..=1.0).contains(p)));
+            let total: f64 = p.iter().sum();
+            for (c, &pc) in p.iter().enumerate() {
+                let expected = pc - (total - pc) / (n - 1.0);
+                assert!((m.relative[c][j] - expected).abs() < 1e-12, "({c},{j})");
+            }
         }
     }
 
@@ -226,7 +238,8 @@ mod tests {
         let m = AuthenticityMatrix::ingredients_over(&db, &[Cuisine::UK]);
         assert_eq!(m.cuisines, vec![Cuisine::UK]);
         assert!(m.relative.iter().flatten().all(|v| v.is_finite()));
-        assert_eq!(m.fingerprint(Cuisine::UK), m.prevalence[0].as_slice());
+        // Salt is in the only recipe: prevalence 1, and relative = prevalence.
+        assert_eq!(m.fingerprint(Cuisine::UK), &[1.0]);
         assert_eq!(m.index_of(Cuisine::Thai), None);
     }
 

@@ -2,10 +2,10 @@
 //!
 //! All per-cuisine patterns are canonicalised to "string patterns",
 //! compiled into one unique vocabulary, label-encoded, and each cuisine
-//! becomes a vector over that vocabulary — binary incidence by default
-//! (did the cuisine exhibit the pattern?), or support-weighted.
+//! becomes a binary incidence vector over that vocabulary (did the
+//! cuisine exhibit the pattern?).
 
-use clustering::encode::{incidence_matrix, weighted_incidence_matrix, LabelEncoder};
+use clustering::encode::{incidence_matrix, LabelEncoder};
 use recipedb::RecipeDb;
 
 use crate::patterns::CuisinePatterns;
@@ -17,8 +17,6 @@ pub struct PatternFeatures {
     pub vocabulary: Vec<String>,
     /// Binary incidence matrix, `n_cuisines × vocab`.
     pub binary: Vec<Vec<f64>>,
-    /// Support-weighted matrix, `n_cuisines × vocab`.
-    pub weighted: Vec<Vec<f64>>,
     /// Per-cuisine encoded pattern id lists (sorted), for set-based
     /// distances.
     pub pattern_sets: Vec<Vec<u32>>,
@@ -28,25 +26,17 @@ impl PatternFeatures {
     /// Build the feature space from all cuisines' mined patterns.
     pub fn build(db: &RecipeDb, all: &[CuisinePatterns]) -> Self {
         let mut encoder: LabelEncoder<String> = LabelEncoder::new();
-        let mut rows_binary: Vec<Vec<usize>> = Vec::with_capacity(all.len());
-        let mut rows_weighted: Vec<Vec<(usize, f64)>> = Vec::with_capacity(all.len());
+        let rows_binary: Vec<Vec<usize>> = all
+            .iter()
+            .map(|cp| {
+                cp.itemsets
+                    .iter()
+                    .map(|f| encoder.fit_transform_one(&CuisinePatterns::pattern_string(db, f)))
+                    .collect()
+            })
+            .collect();
 
-        for cp in all {
-            let mut codes = Vec::with_capacity(cp.itemsets.len());
-            let mut weights = Vec::with_capacity(cp.itemsets.len());
-            for f in &cp.itemsets {
-                let s = CuisinePatterns::pattern_string(db, f);
-                let code = encoder.fit_transform_one(&s);
-                codes.push(code);
-                weights.push((code, f.support(cp.n_recipes)));
-            }
-            rows_binary.push(codes);
-            rows_weighted.push(weights);
-        }
-
-        let vocab = encoder.len();
-        let binary = incidence_matrix(&rows_binary, vocab);
-        let weighted = weighted_incidence_matrix(&rows_weighted, vocab);
+        let binary = incidence_matrix(&rows_binary, encoder.len());
         let pattern_sets = rows_binary
             .into_iter()
             .map(|mut codes| {
@@ -59,7 +49,6 @@ impl PatternFeatures {
         PatternFeatures {
             vocabulary: encoder.vocabulary().to_vec(),
             binary,
-            weighted,
             pattern_sets,
         }
     }
@@ -102,14 +91,10 @@ mod tests {
     fn shapes_are_consistent() {
         let (_, f) = features();
         assert_eq!(f.binary.len(), 26);
-        assert_eq!(f.weighted.len(), 26);
         assert_eq!(f.pattern_sets.len(), 26);
         for row in &f.binary {
             assert_eq!(row.len(), f.vocab_size());
             assert!(row.iter().all(|&x| x == 0.0 || x == 1.0));
-        }
-        for row in &f.weighted {
-            assert!(row.iter().all(|&x| (0.0..=1.0).contains(&x)));
         }
     }
 

@@ -191,19 +191,6 @@ pub struct CuisineTree {
 }
 
 impl CuisineTree {
-    /// Grow a tree over `cuisines` from their distance matrix (leaf `i`
-    /// is `cuisines[i]`). The snapshot decoder uses it to check each
-    /// stored tree against its Newick; the atlas methods below are the
-    /// primary constructors.
-    pub fn from_distances_over(
-        description: String,
-        cuisines: Vec<Cuisine>,
-        distances: CondensedMatrix,
-        method: LinkageMethod,
-    ) -> Self {
-        Self::grow(description, cuisines, distances, method)
-    }
-
     fn grow(
         description: String,
         cuisines: Vec<Cuisine>,
@@ -339,18 +326,9 @@ impl CuisineAtlas {
                 sink,
             )
         });
-        let (features, features_ms) = spanned(sink, "stage/features", || {
-            PatternFeatures::build(&db, &patterns)
+        let (mut atlas, features_ms) = spanned(sink, "stage/features", || {
+            Self::from_patterns(db, cuisines, config, patterns)
         });
-        let mut atlas = CuisineAtlas {
-            config: config.clone(),
-            db,
-            cuisines,
-            patterns,
-            features,
-            caches: DistanceCaches::default(),
-            timings: BuildTimings::default(),
-        };
         let (_, pdist_ms) = spanned(sink, "stage/pdist", || atlas.warm_distance_caches());
         atlas.timings = BuildTimings {
             generate_ms,
@@ -359,6 +337,43 @@ impl CuisineAtlas {
             pdist_ms,
         };
         atlas
+    }
+
+    /// An atlas over already-mined `patterns`: encodes the feature space
+    /// and leaves every distance cache cold, with zero timings. Both the
+    /// build and [`crate::snapshot::decode_atlas`] construct atlases
+    /// here, so a restored atlas's features are the build's by
+    /// construction.
+    pub(crate) fn from_patterns(
+        db: Arc<RecipeDb>,
+        cuisines: Vec<Cuisine>,
+        config: &AtlasConfig,
+        patterns: Vec<CuisinePatterns>,
+    ) -> Self {
+        let features = PatternFeatures::build(&db, &patterns);
+        CuisineAtlas {
+            config: config.clone(),
+            db,
+            cuisines,
+            patterns,
+            features,
+            caches: DistanceCaches::default(),
+            timings: BuildTimings::default(),
+        }
+    }
+
+    /// Install what a snapshot stores beyond the patterns: the build's
+    /// timings and its authenticity distances, so the authenticity tree
+    /// needs no authenticity matrix (that is still built lazily, on the
+    /// first [`CuisineAtlas::authenticity_matrix`] call).
+    pub(crate) fn restore(&mut self, authenticity_dist: CondensedMatrix, timings: BuildTimings) {
+        let _ = self.caches.authenticity_dist.set(authenticity_dist);
+        self.timings = timings;
+    }
+
+    /// Replace the wall-clock knob; results are the same at any value.
+    pub(crate) fn set_build_threads(&mut self, threads: usize) {
+        self.config.build_threads = threads;
     }
 
     /// Force every cached distance matrix (three pattern metrics + the
@@ -515,45 +530,6 @@ impl CuisineAtlas {
             self.config.effective_build_threads(),
         )
     }
-
-    /// Reassemble an atlas from decoded snapshot parts (the
-    /// [`crate::snapshot`] restore path), pre-populating every distance
-    /// cache so no pipeline stage re-runs. The caller (the snapshot
-    /// decoder) is responsible for having validated that the parts are
-    /// mutually consistent.
-    pub(crate) fn from_restored(parts: RestoredAtlas) -> Self {
-        let caches = DistanceCaches::default();
-        let _ = caches.euclidean.set(parts.euclidean);
-        let _ = caches.cosine.set(parts.cosine);
-        let _ = caches.jaccard.set(parts.jaccard);
-        let _ = caches.authenticity.set(parts.authenticity);
-        let _ = caches.authenticity_dist.set(parts.authenticity_dist);
-        CuisineAtlas {
-            config: parts.config,
-            db: parts.db,
-            cuisines: parts.cuisines,
-            patterns: parts.patterns,
-            features: parts.features,
-            caches,
-            timings: parts.timings,
-        }
-    }
-}
-
-/// Decoded parts of a persisted atlas, consumed by
-/// [`CuisineAtlas::from_restored`].
-pub(crate) struct RestoredAtlas {
-    pub config: AtlasConfig,
-    pub db: Arc<RecipeDb>,
-    pub cuisines: Vec<Cuisine>,
-    pub patterns: Vec<CuisinePatterns>,
-    pub features: PatternFeatures,
-    pub euclidean: CondensedMatrix,
-    pub cosine: CondensedMatrix,
-    pub jaccard: CondensedMatrix,
-    pub authenticity: AuthenticityMatrix,
-    pub authenticity_dist: CondensedMatrix,
-    pub timings: BuildTimings,
 }
 
 #[cfg(test)]

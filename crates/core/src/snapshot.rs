@@ -1,30 +1,36 @@
 //! Versioned, checksummed snapshot codec for atlases and corpora.
 //!
-//! This is the serialization half of the `atlas-store` subsystem: a
-//! built [`CuisineAtlas`] (mined patterns, feature space, all four
-//! distance matrices, timings) or a corpus (`RecipeDb` JSON plus
-//! provenance) is framed as
+//! This is the serialization half of the `atlas-store` subsystem. A
+//! snapshot is framed as
 //!
 //! ```text
 //! magic "CUISSNAP" · version u32 · kind u8 · payload · SHA-256 trailer
 //! ```
 //!
 //! with every integer little-endian and every `f64` written via
-//! [`f64::to_bits`], so a decoded atlas is **bit-for-bit** the atlas
-//! that was encoded — the store's warm-restart determinism guarantee
-//! rests on this. The trailing SHA-256 covers everything before it;
-//! decoding is fully bounds-checked and returns [`SnapshotError`] on
-//! any damage (truncation, bit flips, wrong kind) — it never panics,
-//! so a corrupt file degrades to a rebuild rather than a crash.
+//! [`f64::to_bits`]. The trailing SHA-256 covers everything before it
+//! and is checked before any header field is trusted; decoding is fully
+//! bounds-checked and returns [`SnapshotError`] on any damage
+//! (truncation, bit flips, wrong kind) — it never panics, so a corrupt
+//! file degrades to a rebuild rather than a crash. Each kind carries
+//! its own layout version ([`ATLAS_VERSION`], [`CORPUS_VERSION`]): a
+//! frame of another version is a miss, not damage.
 //!
-//! Two self-checks run beyond the checksum:
+//! A corpus snapshot is the corpus JSON plus provenance. An atlas
+//! snapshot stores only what is costly to redo: the mined patterns and
+//! the authenticity distances (whose input, the cuisines × ingredients
+//! authenticity matrix, is megabytes), next to the config, the active
+//! cuisines and the build timings. [`decode_atlas`] regrows the rest —
+//! features, pattern distances, trees — with the build's own code, and
+//! the authenticity matrix is rebuilt lazily on first use. Two
+//! self-checks run beyond the checksum:
 //!
 //! * an atlas snapshot records the corpus digest it was built from, and
 //!   [`decode_atlas`] refuses to marry it to a different corpus;
-//! * the four Newick tree serializations are stored alongside the
-//!   distance matrices, and decode regrows each tree and compares —
-//!   catching any drift in the linkage implementation between the
-//!   writer and the reader.
+//! * the four Newick tree serializations are stored, and decode grows
+//!   each tree from the regrown (or stored) distances and compares —
+//!   catching any drift in the features, distances or linkage between
+//!   the writer and the reader.
 
 use std::fmt;
 use std::sync::Arc;
@@ -33,21 +39,23 @@ use clustering::condensed::CondensedMatrix;
 use clustering::distance::Metric;
 use clustering::hac::LinkageMethod;
 use pattern_mining::itemset::{FrequentItemset, Itemset};
-use recipedb::catalog::TokenId;
 use recipedb::digest::{corpus_digest, Sha256};
 use recipedb::generator::GeneratorConfig;
 use recipedb::{Cuisine, RecipeDb};
 
-use crate::authenticity::AuthenticityMatrix;
-use crate::features::PatternFeatures;
 use crate::patterns::CuisinePatterns;
-use crate::pipeline::{AtlasConfig, BuildTimings, CuisineAtlas, CuisineTree, RestoredAtlas};
+use crate::pipeline::{AtlasConfig, BuildTimings, CuisineAtlas};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"CUISSNAP";
 
-/// Current codec version; bumped on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Layout version of atlas frames; bumped whenever a stored stage's
+/// output or its layout changes.
+pub const ATLAS_VERSION: u32 = 2;
+
+/// Layout version of corpus frames; moves independently of
+/// [`ATLAS_VERSION`], so stored uploads outlive atlas layout changes.
+pub const CORPUS_VERSION: u32 = 1;
 
 const CHECKSUM_LEN: usize = 32;
 const HEADER_LEN: usize = MAGIC.len() + 4 + 1;
@@ -74,6 +82,14 @@ impl SnapshotKind {
             1 => Some(SnapshotKind::Atlas),
             2 => Some(SnapshotKind::Corpus),
             _ => None,
+        }
+    }
+
+    /// The layout version this build writes and reads for the kind.
+    fn version(self) -> u32 {
+        match self {
+            SnapshotKind::Atlas => ATLAS_VERSION,
+            SnapshotKind::Corpus => CORPUS_VERSION,
         }
     }
 }
@@ -112,7 +128,8 @@ pub enum SnapshotError {
     Truncated,
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's codec version is not [`SNAPSHOT_VERSION`].
+    /// The frame's layout version is not the one this build speaks for
+    /// its kind ([`ATLAS_VERSION`] or [`CORPUS_VERSION`]).
     UnsupportedVersion(u32),
     /// The frame holds a different [`SnapshotKind`] than requested.
     WrongKind,
@@ -163,12 +180,7 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} (expected {SNAPSHOT_VERSION})"
-                )
-            }
+            SnapshotError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::WrongKind => write!(f, "snapshot holds a different payload kind"),
             SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
@@ -199,7 +211,7 @@ impl Writer {
     fn frame(kind: SnapshotKind) -> Self {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        buf.extend_from_slice(&kind.version().to_le_bytes());
         buf.push(kind.code());
         Writer { buf }
     }
@@ -257,18 +269,17 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Validate magic, version, kind and the trailing checksum, and
-    /// return a reader positioned at the payload.
+    /// Validate magic, the trailing checksum, kind and the kind's
+    /// version, in that order, and return a reader positioned at the
+    /// payload. The checksum comes before the header fields it covers,
+    /// so a damaged version field is corruption, not another build's
+    /// file.
     fn open(bytes: &'a [u8], kind: SnapshotKind) -> Result<Self, SnapshotError> {
         if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
             return Err(SnapshotError::Truncated);
         }
         if bytes[..MAGIC.len()] != MAGIC {
             return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
         }
         let content = &bytes[..bytes.len() - CHECKSUM_LEN];
         let mut hasher = Sha256::new();
@@ -279,6 +290,10 @@ impl<'a> Reader<'a> {
         match SnapshotKind::from_code(bytes[HEADER_LEN - 1]) {
             Some(k) if k == kind => {}
             _ => return Err(SnapshotError::WrongKind),
+        }
+        let version = u32::from_le_bytes(bytes[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
+        if version != kind.version() {
+            return Err(SnapshotError::UnsupportedVersion(version));
         }
         Ok(Reader {
             buf: content,
@@ -386,8 +401,10 @@ pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {
     let mut w = Writer::frame(SnapshotKind::Atlas);
     w.str(corpus_digest);
 
-    // Config: every generator knob plus the pipeline knobs — enough to
-    // re-derive the cache key this snapshot answers for.
+    // Config: every generator knob plus the pipeline knobs that shape
+    // results — enough to re-derive the cache key this snapshot answers
+    // for. `build_threads` is the restoring server's, so it is not
+    // stored.
     let cfg = atlas.config();
     let g = &cfg.corpus;
     w.u64(g.seed);
@@ -403,7 +420,6 @@ pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {
     w.f64(cfg.generic_fraction);
     w.u64(cfg.top_k as u64);
     w.str(cfg.linkage.name());
-    w.u64(cfg.build_threads as u64);
 
     // Active cuisines, artifact-index order.
     let cuisines = atlas.cuisines();
@@ -423,44 +439,13 @@ pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {
         }
     }
 
-    // Feature space.
-    let feats = atlas.features();
-    w.u64(feats.vocabulary.len() as u64);
-    for s in &feats.vocabulary {
-        w.str(s);
-    }
-    write_matrix(&mut w, &feats.binary);
-    write_matrix(&mut w, &feats.weighted);
-    w.u64(feats.pattern_sets.len() as u64);
-    for set in &feats.pattern_sets {
-        w.u32s(set);
-    }
+    // Authenticity distances: the one matrix whose input (the
+    // authenticity matrix) costs more to rebuild than to store.
+    let authenticity = atlas.authenticity_tree();
+    w.u64(authenticity.distances.len() as u64);
+    w.f64s(authenticity.distances.data());
 
-    // Distance matrices: the three pattern metrics plus authenticity.
-    let trees = [
-        atlas.pattern_tree(Metric::Euclidean),
-        atlas.pattern_tree(Metric::Cosine),
-        atlas.pattern_tree(Metric::Jaccard),
-        atlas.authenticity_tree(),
-    ];
-    for tree in &trees {
-        write_condensed(&mut w, &tree.distances);
-    }
-
-    // Authenticity fingerprints.
-    let auth = atlas.authenticity_matrix();
-    w.u64(auth.cuisines.len() as u64);
-    for &c in &auth.cuisines {
-        w.u32(c.index() as u32);
-    }
-    w.u64(auth.items.len() as u64);
-    for &t in &auth.items {
-        w.u32(t.0);
-    }
-    write_matrix(&mut w, &auth.prevalence);
-    write_matrix(&mut w, &auth.relative);
-
-    // Build timings (provenance; surfaced by /health after a restore).
+    // Build timings (provenance of the build that wrote the file).
     let t = atlas.timings();
     w.f64(t.generate_ms);
     w.f64(t.mine_ms);
@@ -468,12 +453,28 @@ pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {
     w.f64(t.pdist_ms);
 
     // Newick serializations, the decode-time self-check.
-    let labels: Vec<String> = cuisines.iter().map(|c| c.name().to_string()).collect();
-    for tree in &trees {
-        w.str(&tree.dendrogram.to_newick(&labels));
+    for tree in newick_trees(atlas) {
+        w.str(&tree);
     }
 
     w.seal()
+}
+
+/// The four stored trees' Newick strings, in snapshot order: the three
+/// pattern metrics, then authenticity.
+fn newick_trees(atlas: &CuisineAtlas) -> [String; 4] {
+    let labels: Vec<String> = atlas
+        .cuisines()
+        .iter()
+        .map(|c| c.name().to_string())
+        .collect();
+    [
+        atlas.pattern_tree(Metric::Euclidean),
+        atlas.pattern_tree(Metric::Cosine),
+        atlas.pattern_tree(Metric::Jaccard),
+        atlas.authenticity_tree(),
+    ]
+    .map(|tree| tree.dendrogram.to_newick(&labels))
 }
 
 /// Read only an atlas snapshot's corpus reference (after full frame
@@ -491,10 +492,11 @@ pub fn peek_atlas(bytes: &[u8]) -> Result<AtlasPeek, SnapshotError> {
 /// `db` must be the corpus whose digest is `expected_digest` (the
 /// caller has either just decoded it from a corpus snapshot or holds it
 /// in the registry); the snapshot's own corpus reference must agree.
-/// `build_threads` replaces the stored wall-clock knob so a restored
-/// atlas uses the restoring server's parallelism (it never affects
-/// results). The four trees are regrown from the decoded matrices and
-/// compared to the stored Newick strings before anything is returned.
+/// `build_threads` becomes the restored atlas's wall-clock knob (it
+/// never affects results). The atlas is assembled from the stored
+/// patterns by the build's own code (`CuisineAtlas::from_patterns`);
+/// the four trees are then grown from its distances and compared to the
+/// stored Newick strings before anything is returned.
 pub fn decode_atlas(
     bytes: &[u8],
     db: Arc<RecipeDb>,
@@ -527,11 +529,11 @@ pub fn decode_atlas(
         generic_fraction: r.f64()?,
         top_k: r.u64()? as usize,
         linkage: linkage_from_name(&r.str("linkage")?)?,
-        build_threads,
+        // The regrow below runs on one thread: its matrices are far
+        // smaller than the cost of spawning workers, and every thread
+        // count gives the same bits. The caller's count is set after.
+        build_threads: 1,
     };
-    // The stored wall-clock knob is superseded by `build_threads` but
-    // still occupies its slot in the stream.
-    let _ = r.u64()?;
 
     let n = r.len(4, "cuisine list")?;
     let mut cuisines = Vec::with_capacity(n);
@@ -573,62 +575,20 @@ pub fn decode_atlas(
         });
     }
 
-    let vocab_len = r.len(8, "vocabulary")?;
-    let mut vocabulary = Vec::with_capacity(vocab_len);
-    for _ in 0..vocab_len {
-        vocabulary.push(r.str("vocabulary entry")?);
-    }
-    let binary = read_matrix(&mut r, n, vocab_len, "binary features")?;
-    let weighted = read_matrix(&mut r, n, vocab_len, "weighted features")?;
-    let n_sets = r.len(8, "pattern sets")?;
-    if n_sets != n {
+    let n_dist = r.u64()?;
+    if n_dist != n as u64 {
         return Err(SnapshotError::Malformed(format!(
-            "{n_sets} pattern sets for {n} cuisines"
+            "authenticity distances over {n_dist} leaves, expected {n}"
         )));
     }
-    let mut pattern_sets = Vec::with_capacity(n);
-    for _ in 0..n {
-        pattern_sets.push(r.u32s("pattern set")?);
-    }
-    let features = PatternFeatures {
-        vocabulary,
-        binary,
-        weighted,
-        pattern_sets,
-    };
-
-    let euclidean = read_condensed(&mut r, n, "euclidean distances")?;
-    let cosine = read_condensed(&mut r, n, "cosine distances")?;
-    let jaccard = read_condensed(&mut r, n, "jaccard distances")?;
-    let authenticity_dist = read_condensed(&mut r, n, "authenticity distances")?;
-
-    let n_auth = r.len(4, "authenticity cuisines")?;
-    if n_auth != n {
+    let data = r.f64s("authenticity distances")?;
+    if data.len() != n * (n - 1) / 2 {
         return Err(SnapshotError::Malformed(format!(
-            "authenticity matrix over {n_auth} cuisines, atlas has {n}"
+            "authenticity distances: {} entries for {n} leaves",
+            data.len()
         )));
     }
-    for &cuisine in &cuisines {
-        let idx = r.u32()? as usize;
-        if idx != cuisine.index() {
-            return Err(SnapshotError::Malformed(
-                "authenticity cuisine order differs from atlas".into(),
-            ));
-        }
-    }
-    let items: Vec<TokenId> = r
-        .u32s("authenticity items")?
-        .into_iter()
-        .map(TokenId)
-        .collect();
-    let prevalence = read_matrix(&mut r, n, items.len(), "prevalence matrix")?;
-    let relative = read_matrix(&mut r, n, items.len(), "relative prevalence matrix")?;
-    let authenticity = AuthenticityMatrix {
-        cuisines: cuisines.clone(),
-        items,
-        prevalence,
-        relative,
-    };
+    let authenticity_dist = CondensedMatrix::from_condensed(n, data);
 
     let timings = BuildTimings {
         generate_ms: r.f64()?,
@@ -636,115 +596,35 @@ pub fn decode_atlas(
         features_ms: r.f64()?,
         pdist_ms: r.f64()?,
     };
-
-    // Self-check: regrow each tree from the decoded matrices and compare
-    // against the stored Newick serialization.
-    let labels: Vec<String> = cuisines.iter().map(|c| c.name().to_string()).collect();
-    let checks = [
-        ("patterns/euclidean", &euclidean),
-        ("patterns/cosine", &cosine),
-        ("patterns/jaccard", &jaccard),
-        ("authenticity/euclidean", &authenticity_dist),
+    let stored_newick = [
+        r.str("newick")?,
+        r.str("newick")?,
+        r.str("newick")?,
+        r.str("newick")?,
     ];
-    for (what, matrix) in checks {
-        let stored = r.str("newick")?;
-        let tree = CuisineTree::from_distances_over(
-            what.to_string(),
-            cuisines.clone(),
-            (*matrix).clone(),
-            config.linkage,
-        );
-        if tree.dendrogram.to_newick(&labels) != stored {
+    r.finish()?;
+
+    let mut atlas = CuisineAtlas::from_patterns(db, cuisines, &config, patterns);
+    atlas.restore(authenticity_dist, timings);
+
+    // Self-check: the trees grown from the regrown features, the pattern
+    // distances they fill the caches with, and the stored authenticity
+    // distances must reproduce the stored Newick serializations.
+    let names = [
+        "patterns/euclidean",
+        "patterns/cosine",
+        "patterns/jaccard",
+        "authenticity/euclidean",
+    ];
+    for ((what, grown), stored) in names.iter().zip(newick_trees(&atlas)).zip(&stored_newick) {
+        if grown != *stored {
             return Err(SnapshotError::SelfCheckFailed(format!(
                 "{what} tree does not reproduce its stored newick"
             )));
         }
     }
-
-    r.finish()?;
-
-    Ok(CuisineAtlas::from_restored(RestoredAtlas {
-        config,
-        db,
-        cuisines,
-        patterns,
-        features,
-        euclidean,
-        cosine,
-        jaccard,
-        authenticity,
-        authenticity_dist,
-        timings,
-    }))
-}
-
-fn write_matrix(w: &mut Writer, rows: &[Vec<f64>]) {
-    w.u64(rows.len() as u64);
-    w.u64(rows.first().map_or(0, |r| r.len()) as u64);
-    for row in rows {
-        for &v in row {
-            w.f64(v);
-        }
-    }
-}
-
-fn read_matrix(
-    r: &mut Reader<'_>,
-    expect_rows: usize,
-    expect_cols: usize,
-    what: &str,
-) -> Result<Vec<Vec<f64>>, SnapshotError> {
-    let rows = r.u64()? as usize;
-    let cols = r.u64()? as usize;
-    if rows != expect_rows || cols != expect_cols {
-        return Err(SnapshotError::Malformed(format!(
-            "{what}: {rows}×{cols}, expected {expect_rows}×{expect_cols}"
-        )));
-    }
-    if cols
-        .checked_mul(rows)
-        .and_then(|c| c.checked_mul(8))
-        .is_none_or(|b| b > r.remaining())
-    {
-        return Err(SnapshotError::Malformed(format!(
-            "{what}: dimensions exceed remaining payload"
-        )));
-    }
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let mut row = Vec::with_capacity(cols);
-        for _ in 0..cols {
-            row.push(r.f64()?);
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
-fn write_condensed(w: &mut Writer, m: &CondensedMatrix) {
-    w.u64(m.len() as u64);
-    w.f64s(m.data());
-}
-
-fn read_condensed(
-    r: &mut Reader<'_>,
-    expect_n: usize,
-    what: &str,
-) -> Result<CondensedMatrix, SnapshotError> {
-    let n = r.u64()? as usize;
-    if n != expect_n {
-        return Err(SnapshotError::Malformed(format!(
-            "{what}: over {n} leaves, expected {expect_n}"
-        )));
-    }
-    let data = r.f64s(what)?;
-    if data.len() != n * (n - 1) / 2 {
-        return Err(SnapshotError::Malformed(format!(
-            "{what}: {} entries for {n} leaves",
-            data.len()
-        )));
-    }
-    Ok(CondensedMatrix::from_condensed(n, data))
+    atlas.set_build_threads(build_threads);
+    Ok(atlas)
 }
 
 // ---------------------------------------------------------------------
@@ -871,9 +751,17 @@ mod tests {
         corpus_digest(a.db())
     }
 
-    #[test]
-    fn atlas_roundtrip_is_bit_identical() {
-        let a = atlas();
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn row_bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter().map(|row| bits(row)).collect()
+    }
+
+    /// Encode `a`, decode it over a re-parsed copy of its corpus, and
+    /// check the result against `a` on every part the server serves.
+    fn assert_roundtrip_is_bit_identical(a: &CuisineAtlas) {
         let digest = digest_of(a);
         let bytes = encode_atlas(a, &digest);
         let db =
@@ -887,27 +775,98 @@ mod tests {
             assert_eq!(pa.n_recipes, pb.n_recipes);
             assert_eq!(pa.itemsets, pb.itemsets);
         }
-        assert_eq!(a.features().vocabulary, b.features().vocabulary);
-        assert_eq!(a.features().binary, b.features().binary);
-        assert_eq!(a.features().weighted, b.features().weighted);
-        assert_eq!(a.features().pattern_sets, b.features().pattern_sets);
+        let (fa, fb) = (a.features(), b.features());
+        assert_eq!(fa.vocabulary, fb.vocabulary);
+        assert_eq!(row_bits(&fa.binary), row_bits(&fb.binary));
+        assert_eq!(fa.pattern_sets, fb.pattern_sets);
         for metric in [Metric::Euclidean, Metric::Cosine, Metric::Jaccard] {
             assert_eq!(
-                a.pattern_tree(metric).distances.data(),
-                b.pattern_tree(metric).distances.data(),
+                bits(a.pattern_tree(metric).distances.data()),
+                bits(b.pattern_tree(metric).distances.data()),
                 "{metric}"
             );
         }
         assert_eq!(
-            a.authenticity_tree().distances.data(),
-            b.authenticity_tree().distances.data()
+            bits(a.authenticity_tree().distances.data()),
+            bits(b.authenticity_tree().distances.data())
         );
+        // Built lazily on the restored side.
         let (ma, mb) = (a.authenticity_matrix(), b.authenticity_matrix());
+        assert_eq!(ma.cuisines, mb.cuisines);
         assert_eq!(ma.items, mb.items);
-        assert_eq!(ma.relative, mb.relative);
+        assert_eq!(row_bits(&ma.relative), row_bits(&mb.relative));
         assert_eq!(a.timings(), b.timings());
         // The wall-clock knob is replaced by the caller's.
         assert_eq!(b.config().build_threads, 2);
+    }
+
+    #[test]
+    fn atlas_roundtrip_is_bit_identical() {
+        assert_roundtrip_is_bit_identical(atlas());
+
+        // An uploaded corpus covering a subset of the cuisines.
+        let full = atlas().db();
+        let mut b = recipedb::store::RecipeDbBuilder::new();
+        *b.catalog_mut() = full.catalog().clone();
+        for &cuisine in Cuisine::ALL.iter().step_by(5) {
+            for r in full.cuisine_recipes(cuisine) {
+                b.add_recipe(
+                    r.name.clone(),
+                    cuisine,
+                    r.ingredients.clone(),
+                    r.processes.clone(),
+                    r.utensils.clone(),
+                );
+            }
+        }
+        let subset =
+            CuisineAtlas::from_shared(Arc::new(b.build().unwrap()), &AtlasConfig::quick(23));
+        assert_eq!(subset.cuisines().len(), 6);
+        assert_roundtrip_is_bit_identical(&subset);
+    }
+
+    #[test]
+    fn atlas_snapshot_stores_no_matrices() {
+        // quick(23)'s prevalence and relative matrices alone are 8.5 MB;
+        // patterns, authenticity distances and trees fit in 64 KiB.
+        let a = atlas();
+        let bytes = encode_atlas(a, &digest_of(a));
+        assert!(bytes.len() < 64 * 1024, "{} bytes", bytes.len());
+    }
+
+    #[test]
+    fn version_is_checked_after_the_checksum() {
+        let a = atlas();
+        let digest = digest_of(a);
+        let good = encode_atlas(a, &digest);
+        let db = Arc::new(a.db().clone());
+        // A damaged version field is damage.
+        let mut flipped = good.clone();
+        flipped[MAGIC.len()] ^= 0x01;
+        let err = decode_atlas(&flipped, db.clone(), &digest, 1)
+            .err()
+            .unwrap();
+        assert_eq!(err, SnapshotError::ChecksumMismatch);
+        assert!(err.is_corruption());
+        // A sound frame of another atlas version is not.
+        let mut other = good[..good.len() - CHECKSUM_LEN].to_vec();
+        other[MAGIC.len()..HEADER_LEN - 1].copy_from_slice(&(ATLAS_VERSION - 1).to_le_bytes());
+        let mut hasher = Sha256::new();
+        hasher.update(&other);
+        other.extend_from_slice(&hasher.finalize());
+        let err = decode_atlas(&other, db, &digest, 1).err().unwrap();
+        assert_eq!(err, SnapshotError::UnsupportedVersion(ATLAS_VERSION - 1));
+        assert!(!err.is_corruption());
+        assert_eq!(
+            peek_atlas(&other).unwrap_err(),
+            SnapshotError::UnsupportedVersion(ATLAS_VERSION - 1)
+        );
+        // Corpus frames keep their own version.
+        let corpus = encode_corpus(a.db(), CorpusOrigin::Generated, 0).unwrap();
+        assert_eq!(
+            corpus[MAGIC.len()..HEADER_LEN - 1],
+            CORPUS_VERSION.to_le_bytes()
+        );
     }
 
     #[test]
@@ -1005,7 +964,7 @@ mod tests {
             );
         }
         // A single flipped bit anywhere breaks the checksum (or the
-        // magic/version prefix).
+        // magic).
         for pos in [0, 9, HEADER_LEN, good.len() / 2, good.len() - 1] {
             let mut bad = good.clone();
             bad[pos] ^= 0x40;

@@ -5,7 +5,8 @@
 //! endpoint — for the implicit synthetic corpus *and* an uploaded one —
 //! with **zero rebuilds**, verified through the public `/metrics` and
 //! `/health` surfaces. Plus: corrupted snapshots degrade to a rebuild
-//! (never an error response) with the corruption counted, torn `.tmp`
+//! (never an error response) with the corruption counted, an atlas file
+//! of another layout version is rebuilt without being counted, torn `.tmp`
 //! files are swept at boot, `DELETE /corpus/{digest}` removes memory
 //! and disk together, `--corpus-ttl-secs` expires uploads, and
 //! `--prewarm corpus=<digest>` warms a restored corpus from disk.
@@ -19,6 +20,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use atlas_server::handle::{self, PrewarmSpec};
 use atlas_server::{ServerConfig, ServerHandle};
 use cuisine_atlas::pipeline::AtlasConfig;
+use cuisine_atlas::snapshot;
+use recipedb::digest::Sha256;
 use recipedb::generator::CorpusGenerator;
 use recipedb::io;
 
@@ -109,7 +112,8 @@ fn synthetic_corpus_json() -> String {
 }
 
 /// The endpoint set the CI warm-restart smoke job pins: the paper table,
-/// every tree, and the elbow sweep.
+/// every tree, the elbow sweep, a fingerprint (whose authenticity matrix
+/// a restored atlas builds lazily) and the geography comparison.
 fn atlas_endpoints() -> Vec<String> {
     vec![
         format!("/table1?seed={SEED}"),
@@ -119,6 +123,8 @@ fn atlas_endpoints() -> Vec<String> {
         format!("/tree/authenticity?seed={SEED}"),
         format!("/tree/geo?seed={SEED}"),
         format!("/elbow?seed={SEED}&k_max=6"),
+        format!("/fingerprint/Japanese?k=5&seed={SEED}"),
+        format!("/compare?seed={SEED}"),
     ]
 }
 
@@ -251,6 +257,66 @@ fn corrupted_snapshot_falls_back_to_rebuild() {
         1
     );
     assert_eq!(files_with_ext(&scratch.0.join("atlases"), "atlas").len(), 1);
+    warm.shutdown();
+}
+
+/// An atlas file of another atlas layout version — what a data dir
+/// written before a layout change holds — is a miss, not damage: it is
+/// rebuilt once and overwritten in place, nothing is quarantined, the
+/// next restart is warm, and the uploaded corpus beside it (whose frame
+/// version did not move) still restores.
+#[test]
+fn atlas_of_another_version_is_rebuilt_and_overwritten() {
+    let scratch = Scratch::new("version");
+    let cold = start(persistent_config(&scratch));
+    let digest = upload(&cold, &synthetic_corpus_json());
+    let path = format!("/fingerprint/Japanese?k=5&corpus={digest}");
+    let body = get_ok(&cold, &path);
+    cold.shutdown();
+
+    // Re-frame the stored atlas with the previous version: patch the
+    // version field and reseal the SHA-256 trailer, so the frame is
+    // sound but not one this build reads.
+    let atlases = files_with_ext(&scratch.0.join("atlases"), "atlas");
+    assert_eq!(atlases.len(), 1, "{atlases:?}");
+    let version_at = snapshot::MAGIC.len()..snapshot::MAGIC.len() + 4;
+    let stored = std::fs::read(&atlases[0]).unwrap();
+    let mut old = stored[..stored.len() - 32].to_vec();
+    old[version_at.clone()].copy_from_slice(&(snapshot::ATLAS_VERSION - 1).to_le_bytes());
+    let mut hasher = Sha256::new();
+    hasher.update(&old);
+    old.extend_from_slice(&hasher.finalize());
+    std::fs::write(&atlases[0], &old).unwrap();
+
+    let rebuilt = start(persistent_config(&scratch));
+    assert_eq!(
+        get_ok(&rebuilt, &path),
+        body,
+        "the uploaded corpus resolves"
+    );
+    assert_eq!(
+        rebuilt.build_count(),
+        1,
+        "the old-version atlas is rebuilt once"
+    );
+    let health = health_json(&rebuilt);
+    assert_eq!(
+        health["store"]["snapshot_corrupt"].as_f64(),
+        Some(0.0),
+        "another version is not corruption: {health}"
+    );
+    assert!(files_with_ext(&scratch.0.join("quarantine"), "atlas").is_empty());
+    let rewritten = std::fs::read(&atlases[0]).unwrap();
+    assert_eq!(
+        rewritten[version_at],
+        snapshot::ATLAS_VERSION.to_le_bytes(),
+        "the rebuild overwrites the old file"
+    );
+    rebuilt.shutdown();
+
+    let warm = start(persistent_config(&scratch));
+    assert_eq!(get_ok(&warm, &path), body);
+    assert_eq!(warm.build_count(), 0, "the next restart is warm");
     warm.shutdown();
 }
 

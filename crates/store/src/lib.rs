@@ -898,6 +898,56 @@ mod tests {
         assert!(!path.exists());
     }
 
+    /// A real atlas snapshot with its corpus snapshot: three cuisines,
+    /// four recipes each, so the build is nearly free.
+    fn atlas_and_corpus_bytes() -> (String, Vec<u8>, Vec<u8>) {
+        use cuisine_atlas::pipeline::{AtlasConfig, CuisineAtlas};
+        use recipedb::store::RecipeDbBuilder;
+        use recipedb::Cuisine;
+        let mut b = RecipeDbBuilder::new();
+        let ings: Vec<_> = (0..6)
+            .map(|i| b.catalog_mut().intern_ingredient(&format!("ing-{i}")))
+            .collect();
+        for (ci, &cuisine) in Cuisine::ALL[..3].iter().enumerate() {
+            for r in 0..4 {
+                let recipe = vec![ings[ci], ings[(ci + r) % 6], ings[5 - ci]];
+                b.add_recipe(format!("r{ci}-{r}"), cuisine, recipe, vec![], vec![]);
+            }
+        }
+        let db = std::sync::Arc::new(b.build().unwrap());
+        let digest = recipedb::corpus_digest(&db);
+        let atlas = CuisineAtlas::from_shared(db.clone(), &AtlasConfig::quick(1));
+        let corpus = snapshot::encode_corpus(&db, CorpusOrigin::Uploaded, 0).unwrap();
+        let atlas = snapshot::encode_atlas(&atlas, &digest);
+        (digest, corpus, atlas)
+    }
+
+    #[test]
+    fn damaged_atlas_version_is_quarantined_on_reopen() {
+        let scratch = Scratch::new();
+        let (digest, corpus, atlas) = atlas_and_corpus_bytes();
+        {
+            let store = scratch.store(0);
+            store
+                .persist_corpus(&digest, CorpusOrigin::Uploaded, &corpus)
+                .unwrap();
+            store.persist_atlas("a1", &digest, &atlas).unwrap();
+        }
+        // Flip a bit of the version field: the checksum no longer holds,
+        // so this is damage, not a file from another build.
+        let path = scratch.0.join("atlases").join("a1.atlas");
+        let mut damaged = fs::read(&path).unwrap();
+        damaged[snapshot::MAGIC.len()] ^= 0x01;
+        fs::write(&path, &damaged).unwrap();
+
+        let store = scratch.store(0);
+        assert!(!store.contains_atlas("a1"));
+        assert!(store.stats().corrupt >= 1);
+        assert!(!path.exists());
+        assert!(scratch.0.join("quarantine").join("a1.atlas").exists());
+        assert!(store.contains_corpus(&digest));
+    }
+
     #[test]
     fn budget_evicts_lru_atlases_before_corpora() {
         let scratch = Scratch::new();
