@@ -34,40 +34,6 @@ impl CondensedMatrix {
         Self::from_fn(points.len(), |i, j| metric.distance(&points[i], &points[j]))
     }
 
-    /// Parallel [`CondensedMatrix::from_fn`]: each row `i` of the upper
-    /// triangle (`n − 1 − i` entries) is computed independently on a
-    /// scoped thread pool and the segments are concatenated in row order,
-    /// so the result is **byte-identical** to the sequential `from_fn`
-    /// for any thread count — every entry is produced by the same single
-    /// call `f(i, j)`, only on a different thread. Rows are claimed
-    /// longest-first (row 0 is the widest).
-    pub fn par_from_fn(n: usize, threads: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        if threads <= 1 || n < 3 {
-            return Self::from_fn(n, f);
-        }
-        let rows = n.saturating_sub(1);
-        // Row i has n-1-i entries: ascending index order is already the
-        // descending-cost claim order.
-        let segments: Vec<Vec<f64>> =
-            par::map(threads, rows, |i| ((i + 1)..n).map(|j| f(i, j)).collect());
-        let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for segment in segments {
-            data.extend(segment);
-        }
-        CondensedMatrix { n, data }
-    }
-
-    /// Parallel [`CondensedMatrix::pdist`] over `threads` workers;
-    /// byte-identical to the sequential form (see [`Self::par_from_fn`]).
-    ///
-    /// # Panics
-    /// If rows have inconsistent lengths.
-    pub fn par_pdist(points: &[Vec<f64>], metric: Metric, threads: usize) -> Self {
-        Self::par_from_fn(points.len(), threads, |i, j| {
-            metric.distance(&points[i], &points[j])
-        })
-    }
-
     /// Build from raw condensed data.
     ///
     /// # Panics
@@ -200,38 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn par_from_fn_is_byte_identical_to_sequential() {
-        let f = |i: usize, j: usize| ((i * 31 + j * 17) as f64).sin() / (j as f64);
-        let seq = CondensedMatrix::from_fn(40, f);
-        for threads in [1, 2, 3, 8] {
-            let par = CondensedMatrix::par_from_fn(40, threads, f);
-            assert_eq!(seq, par, "threads={threads}");
-            // PartialEq on f64 vecs is exact bit-level equality except
-            // for NaN/-0.0; double-check the bits to make the contract
-            // explicit.
-            for (a, b) in seq.data().iter().zip(par.data()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn par_pdist_matches_pdist_exactly() {
-        let pts: Vec<Vec<f64>> = (0..30)
-            .map(|i| (0..5).map(|d| ((i * 7 + d * 3) as f64).cos()).collect())
-            .collect();
-        for metric in [Metric::Euclidean, Metric::Cosine, Metric::Jaccard] {
-            let seq = CondensedMatrix::pdist(&pts, metric);
-            let par = CondensedMatrix::par_pdist(&pts, metric, 4);
-            assert_eq!(seq, par, "{metric:?}");
-        }
-    }
-
-    #[test]
-    fn par_from_fn_tiny_inputs() {
-        assert!(CondensedMatrix::par_from_fn(0, 4, |_, _| 1.0).is_empty());
-        assert_eq!(CondensedMatrix::par_from_fn(1, 4, |_, _| 1.0).len(), 1);
-        let two = CondensedMatrix::par_from_fn(2, 4, |i, j| (i + j) as f64);
+    fn from_fn_tiny_inputs() {
+        assert!(CondensedMatrix::from_fn(0, |_, _| 1.0).is_empty());
+        assert_eq!(CondensedMatrix::from_fn(1, |_, _| 1.0).len(), 1);
+        let two = CondensedMatrix::from_fn(2, |i, j| (i + j) as f64);
         assert_eq!(two.get(0, 1), 1.0);
     }
 

@@ -65,6 +65,11 @@ impl LinkageMethod {
         }
     }
 
+    /// The method whose [`LinkageMethod::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<LinkageMethod> {
+        LinkageMethod::ALL.into_iter().find(|m| m.name() == name)
+    }
+
     /// Whether the method operates on squared Euclidean distances
     /// internally (scipy convention).
     pub(crate) fn squares_internally(self) -> bool {
@@ -356,6 +361,15 @@ mod tests {
         // 1-D points at 0, 1, 4, 10.
         let pts = vec![vec![0.0], vec![1.0], vec![4.0], vec![10.0]];
         CondensedMatrix::pdist(&pts, Metric::Euclidean)
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for method in LinkageMethod::ALL {
+            assert_eq!(LinkageMethod::from_name(method.name()), Some(method));
+        }
+        assert_eq!(LinkageMethod::from_name("Average"), None);
+        assert_eq!(LinkageMethod::from_name("mystery"), None);
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Every stage of [`CuisineAtlas::build`] fans out over
-//! [`AtlasConfig::build_threads`] workers — corpus generation (one RNG
-//! stream per cuisine, reassembled in fixed order), per-cuisine FP-Growth
-//! mining (largest cuisines first, huge ones split across conditional
-//! trees), pairwise-distance matrices (row-parallel `pdist`) and the
-//! elbow sweep (one worker per k). Each parallel stage is **byte-identical
-//! to its sequential counterpart**: thread count is a pure wall-clock
-//! knob, never an input to any result (see DESIGN.md §"Determinism under
-//! parallelism").
+//! Three stages fan out over [`AtlasConfig::build_threads`] workers:
+//! corpus generation (one RNG stream per cuisine, reassembled in fixed
+//! order), per-cuisine FP-Growth mining (largest cuisines first, huge
+//! ones split across conditional trees) and the elbow sweep (one worker
+//! per k). Each is **byte-identical to its sequential counterpart**:
+//! thread count is a pure wall-clock knob, never an input to any result
+//! (see DESIGN.md §"Determinism under parallelism"). The four
+//! pairwise-distance matrices run on one thread: at 26 cuisines a
+//! worker spawn costs more than a pattern matrix, and two threads save
+//! only ~2.4 ms on the authenticity matrix.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -43,8 +44,8 @@ pub struct AtlasConfig {
     pub generic_fraction: f64,
     /// Significant patterns listed per cuisine in Table I.
     pub top_k: usize,
-    /// Worker threads for the build (corpus generation, mining, distance
-    /// matrices, elbow sweep). `0` means all available parallelism.
+    /// Worker threads for the build (corpus generation, mining, elbow
+    /// sweep). `0` means all available parallelism.
     /// Purely a wall-clock knob: every thread count produces bit-for-bit
     /// identical corpora, patterns, features and trees.
     pub build_threads: usize,
@@ -371,11 +372,6 @@ impl CuisineAtlas {
         self.timings = timings;
     }
 
-    /// Replace the wall-clock knob; results are the same at any value.
-    pub(crate) fn set_build_threads(&mut self, threads: usize) {
-        self.config.build_threads = threads;
-    }
-
     /// Force every cached distance matrix (three pattern metrics + the
     /// authenticity fingerprints), so tree requests against this atlas
     /// only pay linkage growth.
@@ -444,8 +440,8 @@ impl CuisineAtlas {
     /// **Figures 2–4** — the pattern-based cuisine tree under a metric.
     /// Euclidean and Cosine run on the binary incidence vectors; Jaccard
     /// runs directly on the pattern sets (equivalent to the binary-vector
-    /// form, cheaper). Distance matrices are computed row-parallel on
-    /// first use and cached for the atlas's lifetime.
+    /// form, cheaper). Distance matrices are computed on first use and
+    /// cached for the atlas's lifetime.
     pub fn pattern_tree(&self, metric: Metric) -> CuisineTree {
         let description = format!("patterns/{metric}/{}", self.config.linkage);
         CuisineTree::grow(
@@ -458,17 +454,14 @@ impl CuisineAtlas {
 
     /// The (cached) pairwise cuisine distances under `metric`.
     fn pattern_distances(&self, metric: Metric) -> CondensedMatrix {
-        let threads = self.config.effective_build_threads();
         let compute = || match metric {
-            Metric::Jaccard => {
-                CondensedMatrix::par_from_fn(self.cuisines.len(), threads, |i, j| {
-                    jaccard_sets(
-                        &self.features.pattern_sets[i],
-                        &self.features.pattern_sets[j],
-                    )
-                })
-            }
-            _ => CondensedMatrix::par_pdist(&self.features.binary, metric, threads),
+            Metric::Jaccard => CondensedMatrix::from_fn(self.cuisines.len(), |i, j| {
+                jaccard_sets(
+                    &self.features.pattern_sets[i],
+                    &self.features.pattern_sets[j],
+                )
+            }),
+            _ => CondensedMatrix::pdist(&self.features.binary, metric),
         };
         self.caches
             .pattern_slot(metric)
@@ -491,11 +484,7 @@ impl CuisineAtlas {
         self.caches
             .authenticity_dist
             .get_or_init(|| {
-                CondensedMatrix::par_pdist(
-                    &self.authenticity_matrix().relative,
-                    Metric::Euclidean,
-                    self.config.effective_build_threads(),
-                )
+                CondensedMatrix::pdist(&self.authenticity_matrix().relative, Metric::Euclidean)
             })
             .clone()
     }

@@ -375,13 +375,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn linkage_from_name(name: &str) -> Result<LinkageMethod, SnapshotError> {
-    LinkageMethod::ALL
-        .into_iter()
-        .find(|m| m.name() == name)
-        .ok_or_else(|| SnapshotError::Malformed(format!("unknown linkage method {name:?}")))
-}
-
 // ---------------------------------------------------------------------
 // Atlas snapshots
 // ---------------------------------------------------------------------
@@ -528,11 +521,13 @@ pub fn decode_atlas(
         min_support: r.f64()?,
         generic_fraction: r.f64()?,
         top_k: r.u64()? as usize,
-        linkage: linkage_from_name(&r.str("linkage")?)?,
-        // The regrow below runs on one thread: its matrices are far
-        // smaller than the cost of spawning workers, and every thread
-        // count gives the same bits. The caller's count is set after.
-        build_threads: 1,
+        linkage: {
+            let name = r.str("linkage")?;
+            LinkageMethod::from_name(&name).ok_or_else(|| {
+                SnapshotError::Malformed(format!("unknown linkage method {name:?}"))
+            })?
+        },
+        build_threads,
     };
 
     let n = r.len(4, "cuisine list")?;
@@ -623,7 +618,6 @@ pub fn decode_atlas(
             )));
         }
     }
-    atlas.set_build_threads(build_threads);
     Ok(atlas)
 }
 

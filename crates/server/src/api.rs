@@ -7,8 +7,14 @@
 //! pipeline over a corpus previously uploaded via `POST /corpus`
 //! instead of the synthetic generator. Identical parameters always
 //! serve identical bytes; concurrent cold requests for the same
-//! parameters trigger exactly one build. `POST /batch` fetches several
-//! artifacts of one atlas in a single round trip.
+//! parameters trigger exactly one build.
+//!
+//! The seven atlas routes share one handler: [`Artifact::parse`] maps a
+//! path and query to an [`Artifact`], and [`Artifact::render`] builds its
+//! body. `POST /batch` renders several artifacts of one atlas in a single
+//! round trip. Each of its specs is a GET path without the leading slash,
+//! decoded and parsed the same way, so a member's body is the GET
+//! response's bytes. `repro --json` renders through the same function.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, RwLock};
@@ -545,38 +551,20 @@ pub fn config_from_query(request: &Request) -> Result<AtlasConfig, ApiError> {
         config.min_support = min_support;
     }
     if let Some(s) = request.query_param("linkage") {
-        config.linkage = LinkageMethod::ALL
-            .iter()
-            .copied()
-            .find(|m| m.name() == s)
-            .ok_or_else(|| {
-                ApiError::bad_request(format!(
-                    "unknown linkage {s:?}; expected one of: {}",
-                    LinkageMethod::ALL.map(|m| m.name()).join(", ")
-                ))
-            })?;
+        config.linkage = LinkageMethod::from_name(s).ok_or_else(|| {
+            ApiError::bad_request(format!(
+                "unknown linkage {s:?}; expected one of: {}",
+                LinkageMethod::ALL.map(|m| m.name()).join(", ")
+            ))
+        })?;
     }
     Ok(config)
 }
 
-fn metric_from_name(name: &str) -> Result<Metric, ApiError> {
-    Metric::ALL
-        .into_iter()
-        .find(|m| m.name() == name)
-        .ok_or_else(|| {
-            ApiError::not_found(format!(
-                "no tree for metric {name:?}; expected euclidean, cosine or jaccard"
-            ))
-        })
-}
-
-fn json_body<T: Serialize>(view: &T) -> Result<String, ApiError> {
-    serde_json::to_string(view)
-        .map_err(|e| ApiError::internal(format!("serialization failed: {e}")))
-}
-
 fn ok_json<T: Serialize>(view: &T) -> Result<Response, ApiError> {
-    Ok(Response::json(200, json_body(view)?))
+    serde_json::to_string(view)
+        .map(|body| Response::json(200, body))
+        .map_err(|e| ApiError::internal(format!("serialization failed: {e}")))
 }
 
 /// Render an [`ApiError`] as its JSON body string.
@@ -594,13 +582,13 @@ pub fn router() -> Router<AppState> {
     Router::new()
         .get("/health", health)
         .get("/cuisines", cuisines)
-        .get("/table1", table1)
-        .get("/tree/pattern/:metric", pattern_tree)
-        .get("/tree/authenticity", authenticity_tree)
-        .get("/tree/geo", geo_tree)
-        .get("/compare", compare)
-        .get("/fingerprint/:cuisine", fingerprint)
-        .get("/elbow", elbow)
+        .get("/table1", artifact)
+        .get("/tree/pattern/:metric", artifact)
+        .get("/tree/authenticity", artifact)
+        .get("/tree/geo", artifact)
+        .get("/compare", artifact)
+        .get("/fingerprint/:cuisine", artifact)
+        .get("/elbow", artifact)
         .get("/metrics", metrics)
         .post("/corpus", upload_corpus)
         .delete("/corpus/:digest", delete_corpus)
@@ -608,96 +596,188 @@ pub fn router() -> Router<AppState> {
 }
 
 // ---------------------------------------------------------------------
-// Artifact bodies.
+// Artifacts.
 //
-// Every artifact an endpoint can serve is produced by exactly one of
-// these functions, shared between the GET handlers and `POST /batch` —
-// so a batch result is byte-identical to the individual endpoint's
-// response by construction, and small-corpus guards apply uniformly.
+// `Artifact::parse` is the only map from a path and query to an
+// artifact, and `Artifact::render` the only code that builds an
+// artifact's view. The GET routes, `POST /batch` and `repro --json` all
+// go through both, so a batch member is byte-identical to the GET
+// response for the same path by construction, and the small-corpus
+// guards apply to every caller.
 // ---------------------------------------------------------------------
 
-/// Artifacts that cluster cuisines need at least two of them; fewer is
-/// a well-formed corpus the pipeline cannot run on — 422, not a panic.
-fn require_clusterable(atlas: &CuisineAtlas) -> Result<(), ApiError> {
-    let n = atlas.cuisines().len();
-    if n < 2 {
-        return Err(ApiError::unprocessable(format!(
-            "corpus covers {n} cuisine(s); hierarchical clustering needs at least 2"
-        )));
+/// One of the paper's artifacts, with the request parameters its body
+/// depends on beyond the atlas itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// Table I: the top significant patterns per cuisine.
+    Table1,
+    /// Figures 2–4: the pattern tree under a metric.
+    PatternTree(Metric),
+    /// Figure 5: the authenticity tree.
+    AuthenticityTree,
+    /// Figure 6: the geographic tree.
+    GeoTree,
+    /// Every cuisine tree scored against geography, with the historical
+    /// claims of Section VII.
+    Compare,
+    /// A cuisine's authenticity fingerprint.
+    Fingerprint {
+        /// The cuisine.
+        cuisine: Cuisine,
+        /// Items listed at each extreme.
+        k: usize,
+    },
+    /// Figure 1: the elbow curve.
+    Elbow {
+        /// Largest k swept; clamped to the atlas's cuisine count.
+        k_max: usize,
+    },
+}
+
+impl Artifact {
+    /// The artifact a percent-decoded path (leading slash optional) and
+    /// its decoded query name. The path is checked first, so an unknown
+    /// artifact, metric or cuisine is a 404; then `k` or `k_max` (400).
+    pub fn parse(path: &str, query: &[(String, String)]) -> Result<Artifact, ApiError> {
+        let param = |name: &str| {
+            query
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v.as_str())
+        };
+        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+        Ok(match segments.as_slice() {
+            ["table1"] => Artifact::Table1,
+            ["tree", "pattern", name] => Artifact::PatternTree(
+                Metric::ALL
+                    .into_iter()
+                    .find(|m| m.name() == *name)
+                    .ok_or_else(|| {
+                        ApiError::not_found(format!(
+                            "no tree for metric {name:?}; expected euclidean, cosine or jaccard"
+                        ))
+                    })?,
+            ),
+            ["tree", "authenticity"] => Artifact::AuthenticityTree,
+            ["tree", "geo"] => Artifact::GeoTree,
+            ["compare"] => Artifact::Compare,
+            ["fingerprint", name] => Artifact::Fingerprint {
+                cuisine: Cuisine::from_name(name)
+                    .ok_or_else(|| ApiError::not_found(format!("unknown cuisine {name:?}")))?,
+                k: parse_bounded(param("k"), "k", 5, MAX_FINGERPRINT_K)?,
+            },
+            ["elbow"] => Artifact::Elbow {
+                k_max: parse_bounded(param("k_max"), "k_max", 16, MAX_ELBOW_K)?,
+            },
+            _ => {
+                return Err(ApiError::not_found(format!(
+                    "unknown artifact {path:?}; expected table1, tree/pattern/:metric, \
+                     tree/authenticity, tree/geo, compare, fingerprint/:cuisine or elbow"
+                )))
+            }
+        })
     }
-    Ok(())
-}
 
-fn table1_body(atlas: &CuisineAtlas) -> Result<String, ApiError> {
-    json_body(&Table1View::from_table(&atlas.table1()))
-}
-
-fn pattern_tree_body(atlas: &CuisineAtlas, metric: Metric) -> Result<String, ApiError> {
-    require_clusterable(atlas)?;
-    json_body(&TreeView::from_tree(&atlas.pattern_tree(metric)))
-}
-
-fn authenticity_tree_body(atlas: &CuisineAtlas) -> Result<String, ApiError> {
-    require_clusterable(atlas)?;
-    json_body(&TreeView::from_tree(&atlas.authenticity_tree()))
-}
-
-fn geo_tree_body(atlas: &CuisineAtlas) -> Result<String, ApiError> {
-    require_clusterable(atlas)?;
-    json_body(&TreeView::from_tree(&atlas.geographic_tree()))
-}
-
-fn compare_body(atlas: &CuisineAtlas) -> Result<String, ApiError> {
-    // The historical-claims check references specific cuisines
-    // (Canada, France, India, ...), so it only makes sense over the
-    // full 26-region universe.
-    let n = atlas.cuisines().len();
-    if n != Cuisine::COUNT {
-        return Err(ApiError::unprocessable(format!(
-            "corpus covers {n} of {} cuisines; /compare needs all of them",
-            Cuisine::COUNT
-        )));
+    /// The artifact a `POST /batch` spec names. A spec is a GET path
+    /// without its leading slash, query included
+    /// (`fingerprint/Indian%20Subcontinent?k=3`), decoded the way a GET
+    /// request target is.
+    fn from_spec(spec: &str) -> Result<Artifact, ApiError> {
+        let (path, query) = spec.split_once('?').unwrap_or((spec, ""));
+        let bad = || ApiError::bad_request(format!("bad percent-encoding in artifact {spec:?}"));
+        let path = crate::http::percent_decode(path).ok_or_else(bad)?;
+        let query = crate::http::parse_query(query).ok_or_else(bad)?;
+        Artifact::parse(&path, &query)
     }
-    let geo = atlas.geographic_tree();
-    let trees = [
-        atlas.pattern_tree(Metric::Euclidean),
-        atlas.pattern_tree(Metric::Cosine),
-        atlas.pattern_tree(Metric::Jaccard),
-        atlas.authenticity_tree(),
-    ];
-    let views: Vec<AgreementView> = trees
-        .iter()
-        .map(|tree| AgreementView::from_parts(&geo_agreement(tree, &geo), &historical_claims(tree)))
-        .collect();
-    json_body(&views)
-}
 
-fn fingerprint_body(atlas: &CuisineAtlas, cuisine: Cuisine, k: usize) -> Result<String, ApiError> {
-    if !atlas.cuisines().contains(&cuisine) {
-        return Err(ApiError::not_found(format!(
-            "cuisine {} has no recipes in this corpus",
-            cuisine.name()
-        )));
+    /// The artifact's JSON body over `atlas`. `seed` seeds the elbow's
+    /// k-means; no other artifact reads it.
+    pub fn render(&self, atlas: &CuisineAtlas, seed: u64) -> Result<String, ApiError> {
+        let n = atlas.cuisines().len();
+        // Artifacts that cluster cuisines need at least two of them; fewer
+        // is a well-formed corpus the pipeline cannot run on — 422, not a
+        // panic.
+        let clusters = matches!(
+            self,
+            Artifact::PatternTree(_)
+                | Artifact::AuthenticityTree
+                | Artifact::GeoTree
+                | Artifact::Elbow { .. }
+        );
+        if clusters && n < 2 {
+            return Err(ApiError::unprocessable(format!(
+                "corpus covers {n} cuisine(s); hierarchical clustering needs at least 2"
+            )));
+        }
+        let body = match *self {
+            Artifact::Table1 => serde_json::to_string(&Table1View::from_table(&atlas.table1())),
+            Artifact::PatternTree(metric) => {
+                serde_json::to_string(&TreeView::from_tree(&atlas.pattern_tree(metric)))
+            }
+            Artifact::AuthenticityTree => {
+                serde_json::to_string(&TreeView::from_tree(&atlas.authenticity_tree()))
+            }
+            Artifact::GeoTree => {
+                serde_json::to_string(&TreeView::from_tree(&atlas.geographic_tree()))
+            }
+            Artifact::Compare => {
+                // The historical-claims check references specific cuisines
+                // (Canada, France, India, ...), so it only makes sense over
+                // the full 26-region universe.
+                if n != Cuisine::COUNT {
+                    return Err(ApiError::unprocessable(format!(
+                        "corpus covers {n} of {} cuisines; /compare needs all of them",
+                        Cuisine::COUNT
+                    )));
+                }
+                let geo = atlas.geographic_tree();
+                let trees = [
+                    atlas.pattern_tree(Metric::Euclidean),
+                    atlas.pattern_tree(Metric::Cosine),
+                    atlas.pattern_tree(Metric::Jaccard),
+                    atlas.authenticity_tree(),
+                ];
+                let views: Vec<AgreementView> = trees
+                    .iter()
+                    .map(|tree| {
+                        AgreementView::from_parts(
+                            &geo_agreement(tree, &geo),
+                            &historical_claims(tree),
+                        )
+                    })
+                    .collect();
+                serde_json::to_string(&views)
+            }
+            Artifact::Fingerprint { cuisine, k } => {
+                if !atlas.cuisines().contains(&cuisine) {
+                    return Err(ApiError::not_found(format!(
+                        "cuisine {} has no recipes in this corpus",
+                        cuisine.name()
+                    )));
+                }
+                serde_json::to_string(&FingerprintView::from_matrix(
+                    atlas.authenticity_matrix(),
+                    atlas.db(),
+                    cuisine,
+                    k,
+                ))
+            }
+            Artifact::Elbow { k_max } => {
+                // More clusters than cuisines is not meaningful; clamp
+                // instead of erroring so a default k_max works for any
+                // corpus. A no-op for the full 26-cuisine universe, where
+                // k_max is already capped.
+                let k_max = k_max.min(n);
+                serde_json::to_string(&ElbowView {
+                    k_max,
+                    seed,
+                    wcss: atlas.elbow_curve(k_max, seed),
+                })
+            }
+        };
+        body.map_err(|e| ApiError::internal(format!("serialization failed: {e}")))
     }
-    json_body(&FingerprintView::from_matrix(
-        atlas.authenticity_matrix(),
-        atlas.db(),
-        cuisine,
-        k,
-    ))
-}
-
-fn elbow_body(atlas: &CuisineAtlas, k_max: usize, seed: u64) -> Result<String, ApiError> {
-    require_clusterable(atlas)?;
-    // More clusters than cuisines is not meaningful; clamp instead of
-    // erroring so a default k_max works for any corpus. A no-op for
-    // the full 26-cuisine universe, where k_max is already capped.
-    let k_max = k_max.min(atlas.cuisines().len());
-    json_body(&ElbowView {
-        k_max,
-        seed,
-        wcss: atlas.elbow_curve(k_max, seed),
-    })
 }
 
 /// Parse a positive bounded integer query parameter.
@@ -873,69 +953,16 @@ fn cuisines(_: &AppState, _: &Request, _: &PathParams) -> Result<Response, ApiEr
     ok_json(&json!({ "count": (names.len()), "cuisines": names }))
 }
 
-/// Resolve the atlas a request addresses: its config plus its corpus
-/// (implicit or uploaded).
-fn atlas_from_request(state: &AppState, request: &Request) -> Result<Arc<CuisineAtlas>, ApiError> {
-    let config = config_from_query(request)?;
-    let corpus = state.resolve_corpus(request)?;
-    Ok(state.atlas_for(corpus.as_ref(), &config))
-}
-
-fn table1(state: &AppState, request: &Request, _: &PathParams) -> Result<Response, ApiError> {
-    let atlas = atlas_from_request(state, request)?;
-    Ok(Response::json(200, table1_body(&atlas)?))
-}
-
-fn pattern_tree(
-    state: &AppState,
-    request: &Request,
-    params: &PathParams,
-) -> Result<Response, ApiError> {
-    let metric = metric_from_name(params.get("metric").unwrap_or_default())?;
-    let atlas = atlas_from_request(state, request)?;
-    Ok(Response::json(200, pattern_tree_body(&atlas, metric)?))
-}
-
-fn authenticity_tree(
-    state: &AppState,
-    request: &Request,
-    _: &PathParams,
-) -> Result<Response, ApiError> {
-    let atlas = atlas_from_request(state, request)?;
-    Ok(Response::json(200, authenticity_tree_body(&atlas)?))
-}
-
-fn geo_tree(state: &AppState, request: &Request, _: &PathParams) -> Result<Response, ApiError> {
-    let atlas = atlas_from_request(state, request)?;
-    Ok(Response::json(200, geo_tree_body(&atlas)?))
-}
-
-fn compare(state: &AppState, request: &Request, _: &PathParams) -> Result<Response, ApiError> {
-    let atlas = atlas_from_request(state, request)?;
-    Ok(Response::json(200, compare_body(&atlas)?))
-}
-
-fn fingerprint(
-    state: &AppState,
-    request: &Request,
-    params: &PathParams,
-) -> Result<Response, ApiError> {
-    let name = params.get("cuisine").unwrap_or_default();
-    let cuisine = Cuisine::from_name(name)
-        .ok_or_else(|| ApiError::not_found(format!("unknown cuisine {name:?}")))?;
-    let k = parse_bounded(request.query_param("k"), "k", 5, MAX_FINGERPRINT_K)?;
-    let atlas = atlas_from_request(state, request)?;
-    Ok(Response::json(200, fingerprint_body(&atlas, cuisine, k)?))
-}
-
-fn elbow(state: &AppState, request: &Request, _: &PathParams) -> Result<Response, ApiError> {
-    let k_max = parse_bounded(request.query_param("k_max"), "k_max", 16, MAX_ELBOW_K)?;
+/// Every atlas route: the artifact its path and query name, rendered
+/// from the atlas its query selects.
+fn artifact(state: &AppState, request: &Request, _: &PathParams) -> Result<Response, ApiError> {
+    let artifact = Artifact::parse(&request.path, &request.query)?;
     let config = config_from_query(request)?;
     let corpus = state.resolve_corpus(request)?;
     let atlas = state.atlas_for(corpus.as_ref(), &config);
     Ok(Response::json(
         200,
-        elbow_body(&atlas, k_max, config.corpus.seed)?,
+        artifact.render(&atlas, config.corpus.seed)?,
     ))
 }
 
@@ -1012,61 +1039,12 @@ fn delete_corpus(state: &AppState, _: &Request, params: &PathParams) -> Result<R
     }))
 }
 
-/// Execute one batch artifact spec (`"table1"`,
-/// `"tree/pattern/cosine"`, `"fingerprint/Japanese?k=5"`, ...) against
-/// an already-resolved atlas.
-fn run_artifact(
-    atlas: &CuisineAtlas,
-    config: &AtlasConfig,
-    spec: &str,
-) -> Result<String, ApiError> {
-    let (path, query) = match spec.split_once('?') {
-        Some((p, q)) => (
-            p,
-            crate::http::parse_query(q).ok_or_else(|| {
-                ApiError::bad_request(format!("bad percent-encoding in artifact {spec:?}"))
-            })?,
-        ),
-        None => (spec, Vec::new()),
-    };
-    let param = |name: &str| {
-        query
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let segments: Vec<&str> = path
-        .trim_start_matches('/')
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .collect();
-    match segments.as_slice() {
-        ["table1"] => table1_body(atlas),
-        ["tree", "pattern", metric] => pattern_tree_body(atlas, metric_from_name(metric)?),
-        ["tree", "authenticity"] => authenticity_tree_body(atlas),
-        ["tree", "geo"] => geo_tree_body(atlas),
-        ["compare"] => compare_body(atlas),
-        ["fingerprint", name] => {
-            let cuisine = Cuisine::from_name(name)
-                .ok_or_else(|| ApiError::not_found(format!("unknown cuisine {name:?}")))?;
-            let k = parse_bounded(param("k"), "k", 5, MAX_FINGERPRINT_K)?;
-            fingerprint_body(atlas, cuisine, k)
-        }
-        ["elbow"] => {
-            let k_max = parse_bounded(param("k_max"), "k_max", 16, MAX_ELBOW_K)?;
-            elbow_body(atlas, k_max, config.corpus.seed)
-        }
-        _ => Err(ApiError::not_found(format!(
-            "unknown artifact {spec:?}; expected table1, tree/pattern/:metric, \
-             tree/authenticity, tree/geo, compare, fingerprint/:cuisine or elbow"
-        ))),
-    }
-}
-
-/// `POST /batch`: execute several artifact requests against one atlas
-/// in a single round trip. The whole batch shares one atlas resolution,
-/// so at most one build happens however many artifacts are requested;
-/// per-artifact failures are reported inline without failing the batch.
+/// `POST /batch`: render several artifacts of one atlas in a single
+/// round trip. The batch's own query selects the atlas, and each spec is
+/// parsed by [`Artifact::from_spec`]. The whole batch shares one atlas
+/// resolution, so at most one build happens however many artifacts are
+/// requested; per-artifact failures are reported inline without failing
+/// the batch.
 fn batch(state: &AppState, request: &Request, _: &PathParams) -> Result<Response, ApiError> {
     let config = config_from_query(request)?;
     let corpus = state.resolve_corpus(request)?;
@@ -1098,7 +1076,8 @@ fn batch(state: &AppState, request: &Request, _: &PathParams) -> Result<Response
     let atlas = state.atlas_for(corpus.as_ref(), &config);
     let mut results = Vec::with_capacity(specs.len());
     for spec in &specs {
-        let (status, body) = match run_artifact(&atlas, &config, spec) {
+        let rendered = Artifact::from_spec(spec).and_then(|a| a.render(&atlas, config.corpus.seed));
+        let (status, body) = match rendered {
             Ok(body) => (200, body),
             Err(err) => (err.status, error_body(&err)),
         };
@@ -1194,7 +1173,57 @@ mod tests {
                 .status,
             400
         );
-        assert_eq!(metric_from_name("manhattan").unwrap_err().status, 404);
+        assert_eq!(
+            Artifact::parse("/tree/pattern/manhattan", &[])
+                .unwrap_err()
+                .status,
+            404
+        );
+    }
+
+    #[test]
+    fn get_routes_and_batch_specs_parse_to_the_same_artifact() {
+        let indian = Cuisine::from_name("Indian Subcontinent").unwrap();
+        let cases = [
+            ("/table1", Ok(Artifact::Table1)),
+            (
+                "/tree/pattern/cos%69ne",
+                Ok(Artifact::PatternTree(Metric::Cosine)),
+            ),
+            ("/tree/authenticity", Ok(Artifact::AuthenticityTree)),
+            ("/tree/geo", Ok(Artifact::GeoTree)),
+            ("/compare", Ok(Artifact::Compare)),
+            (
+                "/fingerprint/Indian%20Subcontinent?k=3",
+                Ok(Artifact::Fingerprint {
+                    cuisine: indian,
+                    k: 3,
+                }),
+            ),
+            ("/elbow?k_max=6&seed=7", Ok(Artifact::Elbow { k_max: 6 })),
+            ("/elbow", Ok(Artifact::Elbow { k_max: 16 })),
+            ("/tree/pattern/manhattan", Err(404)),
+            ("/fingerprint/Atlantis?k=0", Err(404)),
+            ("/fingerprint/Japanese?k=0", Err(400)),
+            ("/elbow?k_max=27", Err(400)),
+        ];
+        for (target, expected) in cases {
+            let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
+            let request = crate::http::read_request(&mut raw.as_bytes()).unwrap();
+            let from_get = Artifact::parse(&request.path, &request.query);
+            assert_eq!(from_get.clone().map_err(|e| e.status), expected, "{target}");
+            let from_spec = Artifact::from_spec(target.trim_start_matches('/'));
+            assert_eq!(from_spec, from_get, "{target}");
+        }
+        // Only the atlas routes reach `Artifact::parse`.
+        let routes = router().labels();
+        let atlas_routes = routes.iter().filter(|r| {
+            let path = r
+                .replace(":metric", "cosine")
+                .replace(":cuisine", "Japanese");
+            Artifact::parse(&path, &[]).is_ok()
+        });
+        assert_eq!(atlas_routes.count(), 7);
     }
 
     #[test]

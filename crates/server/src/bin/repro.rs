@@ -9,13 +9,15 @@
 //! --scale S   corpus scale vs the paper's 118k recipes (default 1.0;
 //!             must be finite and positive)
 //! --seed N    generator seed (default 42)
-//! --linkage M single|complete|average|weighted|ward (default average)
+//! --linkage M single|complete|average|weighted|ward|centroid|median
+//!             (default average)
 //! --build-threads N  worker threads for the atlas build; 0 = all
 //!             available cores (default). Results are identical for
 //!             every thread count — only wall-clock changes.
-//! --json      emit the machine-readable views (cuisine_atlas::views)
-//!             instead of the text reports, followed by a metrics
-//!             snapshot of the build's pipeline spans
+//! --json      emit each experiment's artifact as the server renders
+//!             it (`atlas_server::api::Artifact`) instead of the text
+//!             reports, followed by a metrics snapshot of the build's
+//!             pipeline spans; `stats` has no JSON form
 //! --export-corpus PATH  skip the experiments; generate the corpus for
 //!             the configured scale/seed and write its RecipeDB JSON
 //!             snapshot to PATH — the format `POST /corpus` accepts
@@ -27,13 +29,12 @@
 
 use std::process::ExitCode;
 
+use atlas_server::api::Artifact;
 use atlas_server::metrics::MetricsRegistry;
 use clustering::hac::LinkageMethod;
 use clustering::Metric;
-use cuisine_atlas::compare::{geo_agreement, historical_claims};
 use cuisine_atlas::experiments;
 use cuisine_atlas::pipeline::{AtlasConfig, CuisineAtlas};
-use cuisine_atlas::views::{AgreementView, ElbowView, Table1View, TreeView};
 use recipedb::generator::GeneratorConfig;
 use serde_json::json;
 
@@ -73,14 +74,8 @@ fn parse_args() -> Result<Options, String> {
             }
             "--linkage" => {
                 let v = args.next().ok_or("--linkage needs a value")?;
-                opts.linkage = match v.as_str() {
-                    "single" => LinkageMethod::Single,
-                    "complete" => LinkageMethod::Complete,
-                    "average" => LinkageMethod::Average,
-                    "weighted" => LinkageMethod::Weighted,
-                    "ward" => LinkageMethod::Ward,
-                    other => return Err(format!("unknown linkage {other}")),
-                };
+                opts.linkage =
+                    LinkageMethod::from_name(&v).ok_or_else(|| format!("unknown linkage {v}"))?;
             }
             "--build-threads" => {
                 let v = args.next().ok_or("--build-threads needs a value")?;
@@ -215,82 +210,53 @@ fn metrics_snapshot(registry: &MetricsRegistry) -> serde_json::Value {
     json!({ "metrics": body })
 }
 
-/// JSON mode: each experiment becomes one line of `cuisine_atlas::views`
-/// output — the exact payloads the `atlas-server` endpoints serve — and
-/// a final metrics snapshot records the build's pipeline spans.
+/// The artifact an experiment prints in JSON mode, or `None` for one
+/// with no JSON form.
+fn json_artifact(name: &str) -> Option<Artifact> {
+    Some(match name {
+        "table1" | "t1" => Artifact::Table1,
+        "figure1" | "f1" => Artifact::Elbow { k_max: 16 },
+        "figure2" | "f2" => Artifact::PatternTree(Metric::Euclidean),
+        "figure3" | "f3" => Artifact::PatternTree(Metric::Cosine),
+        "figure4" | "f4" => Artifact::PatternTree(Metric::Jaccard),
+        "figure5" | "f5" => Artifact::AuthenticityTree,
+        "figure6" | "f6" => Artifact::GeoTree,
+        "validate" | "q1" => Artifact::Compare,
+        _ => return None,
+    })
+}
+
+/// The members of the `all` JSON document, in its key order.
+const ALL_JSON: [&str; 7] = [
+    "table1", "figure2", "figure3", "figure4", "figure5", "figure6", "figure1",
+];
+
+/// JSON mode: each experiment becomes one document holding the body the
+/// `atlas-server` route for its artifact serves (`all`: one object of
+/// them), and a final metrics snapshot records the build's pipeline
+/// spans.
 fn run_json(atlas: &CuisineAtlas, opts: &Options, registry: &MetricsRegistry) -> ExitCode {
-    let geo = atlas.geographic_tree();
+    let view = |name: &str| -> Result<serde_json::Value, String> {
+        let artifact = json_artifact(name)
+            .ok_or_else(|| format!("experiment {name} has no JSON view (text mode only)"))?;
+        let body = artifact
+            .render(atlas, opts.seed)
+            .map_err(|e| format!("rendering {name}: {}", e.message))?;
+        serde_json::from_str(&body).map_err(|e| format!("serializing {name}: {e}"))
+    };
     for exp in &opts.experiments {
         let value = match exp.as_str() {
-            "table1" | "t1" => serde_json::to_value(Table1View::from_table(&atlas.table1())),
-            "figure1" | "f1" => serde_json::to_value(ElbowView {
-                k_max: 16,
-                seed: opts.seed,
-                wcss: atlas.elbow_curve(16, opts.seed),
-            }),
-            "figure2" | "f2" => {
-                serde_json::to_value(TreeView::from_tree(&atlas.pattern_tree(Metric::Euclidean)))
-            }
-            "figure3" | "f3" => {
-                serde_json::to_value(TreeView::from_tree(&atlas.pattern_tree(Metric::Cosine)))
-            }
-            "figure4" | "f4" => {
-                serde_json::to_value(TreeView::from_tree(&atlas.pattern_tree(Metric::Jaccard)))
-            }
-            "figure5" | "f5" => {
-                serde_json::to_value(TreeView::from_tree(&atlas.authenticity_tree()))
-            }
-            "figure6" | "f6" => serde_json::to_value(TreeView::from_tree(&geo)),
-            "validate" | "q1" => {
-                let views: Vec<AgreementView> = [
-                    atlas.pattern_tree(Metric::Euclidean),
-                    atlas.pattern_tree(Metric::Cosine),
-                    atlas.pattern_tree(Metric::Jaccard),
-                    atlas.authenticity_tree(),
-                ]
+            "all" => ALL_JSON
                 .iter()
-                .map(|t| AgreementView::from_parts(&geo_agreement(t, &geo), &historical_claims(t)))
-                .collect();
-                serde_json::to_value(views)
-            }
-            "all" => {
-                let mut obj = serde_json::Map::new();
-                obj.insert(
-                    "table1".into(),
-                    serde_json::to_value(Table1View::from_table(&atlas.table1())).unwrap(),
-                );
-                for (key, tree) in [
-                    ("figure2", atlas.pattern_tree(Metric::Euclidean)),
-                    ("figure3", atlas.pattern_tree(Metric::Cosine)),
-                    ("figure4", atlas.pattern_tree(Metric::Jaccard)),
-                    ("figure5", atlas.authenticity_tree()),
-                    ("figure6", geo.clone()),
-                ] {
-                    obj.insert(
-                        key.into(),
-                        serde_json::to_value(TreeView::from_tree(&tree)).unwrap(),
-                    );
-                }
-                obj.insert(
-                    "figure1".into(),
-                    serde_json::to_value(ElbowView {
-                        k_max: 16,
-                        seed: opts.seed,
-                        wcss: atlas.elbow_curve(16, opts.seed),
-                    })
-                    .unwrap(),
-                );
-                Ok(serde_json::Value::Object(obj))
-            }
-            other => {
-                eprintln!("experiment {other} has no JSON view (text mode only)");
-                return ExitCode::FAILURE;
-            }
+                .map(|name| Ok((name.to_string(), view(name)?)))
+                .collect::<Result<serde_json::Map, String>>()
+                .map(serde_json::Value::Object),
+            name => view(name),
         };
         match value {
             Ok(v) => println!("{}", serde_json::to_string_pretty(&v).unwrap()),
-            Err(e) => {
-                eprintln!("serializing {exp}: {e}");
+            Err(msg) => {
+                eprintln!("{msg}");
                 return ExitCode::FAILURE;
             }
         }

@@ -123,52 +123,52 @@ impl ServerHandle {
     /// Minimal blocking client: `GET` a path (query string included,
     /// already percent-encoded) and return `(status, body)`.
     pub fn get(&self, path_and_query: &str) -> std::io::Result<(u16, Vec<u8>)> {
-        let mut stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-        write!(
-            stream,
-            "GET {path_and_query} HTTP/1.1\r\nHost: atlas\r\nConnection: close\r\n\r\n"
-        )?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw)?;
-        parse_client_response(&raw)
+        self.request("GET", path_and_query, None)
     }
 
     /// Minimal blocking client: `POST` a JSON body to a path and return
     /// `(status, body)`.
     pub fn post(&self, path_and_query: &str, body: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
+        self.request("POST", path_and_query, Some(body))
+    }
+
+    /// Minimal blocking client: `DELETE` a path and return
+    /// `(status, body)`.
+    pub fn delete(&self, path_and_query: &str) -> std::io::Result<(u16, Vec<u8>)> {
+        self.request("DELETE", path_and_query, None)
+    }
+
+    /// One request on a fresh `Connection: close` connection; a body is
+    /// sent as JSON with its `Content-Length`.
+    fn request(
+        &self,
+        method: &str,
+        path_and_query: &str,
+        body: Option<&[u8]>,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
         let mut stream = TcpStream::connect(self.addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(600)))?;
+        let framing = match body {
+            Some(body) => format!(
+                "Content-Type: application/json\r\nContent-Length: {}\r\n",
+                body.len()
+            ),
+            None => String::new(),
+        };
         write!(
             stream,
-            "POST {path_and_query} HTTP/1.1\r\nHost: atlas\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
+            "{method} {path_and_query} HTTP/1.1\r\nHost: atlas\r\n{framing}Connection: close\r\n\r\n"
         )?;
         // The server may reject the request from its headers alone (413)
         // and respond before the body is through — keep the write error,
         // if any, and still try to collect that response.
-        let written = stream.write_all(body);
+        let written = stream.write_all(body.unwrap_or_default());
         let mut raw = Vec::new();
         let read = stream.read_to_end(&mut raw);
         if raw.is_empty() {
             written?;
             read?;
         }
-        parse_client_response(&raw)
-    }
-
-    /// Minimal blocking client: `DELETE` a path and return
-    /// `(status, body)`.
-    pub fn delete(&self, path_and_query: &str) -> std::io::Result<(u16, Vec<u8>)> {
-        let mut stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-        write!(
-            stream,
-            "DELETE {path_and_query} HTTP/1.1\r\nHost: atlas\r\nConnection: close\r\n\r\n"
-        )?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw)?;
         parse_client_response(&raw)
     }
 
@@ -467,14 +467,6 @@ fn write_access_log(
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let _ = writeln!(out, "{line}");
-}
-
-/// Build every atlas the given configs describe, so first requests hit
-/// the cache. Used by `atlas-serve --prewarm`.
-pub fn prewarm(state: &AppState, configs: &[cuisine_atlas::pipeline::AtlasConfig]) {
-    for config in configs {
-        let _ = state.atlas(config);
-    }
 }
 
 /// One `--prewarm` spec: a generator seed, or `corpus=<digest>` naming

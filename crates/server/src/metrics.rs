@@ -281,11 +281,6 @@ impl MetricsRegistry {
         self.queue_wait.record(wait);
     }
 
-    /// Snapshot of the queue-wait histogram.
-    pub fn queue_wait(&self) -> HistogramSnapshot {
-        self.queue_wait.snapshot()
-    }
-
     /// Count one accepted connection.
     pub fn record_connection(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);

@@ -38,6 +38,27 @@ fn batch_body(artifacts: &[&str]) -> String {
     format!("{{\"artifacts\":[{}]}}", list.join(","))
 }
 
+/// The exact batch wire format for `artifacts`, rebuilt from the GET
+/// response of each spec (with the batch's `seed` appended to its query):
+/// equality with a batch response proves every embedded body is
+/// byte-identical to its endpoint's response.
+fn expected_batch(server: &ServerHandle, artifacts: &[&str], seed: u64) -> String {
+    let results: Vec<String> = artifacts
+        .iter()
+        .map(|a| {
+            let sep = if a.contains('?') { "&" } else { "?" };
+            let body = String::from_utf8(get_ok(server, &format!("/{a}{sep}seed={seed}"))).unwrap();
+            let spec = serde_json::Value::String(a.to_string()).to_string();
+            format!("{{\"artifact\":{spec},\"status\":200,\"body\":{body}}}")
+        })
+        .collect();
+    format!(
+        "{{\"count\":{},\"results\":[{}]}}",
+        artifacts.len(),
+        results.join(",")
+    )
+}
+
 /// The equality pin: a k-artifact batch response is exactly the
 /// concatenation of the k individual endpoint responses, and the whole
 /// batch costs one atlas build.
@@ -66,39 +87,38 @@ fn batch_equals_concatenation_of_individual_endpoints() {
     assert_eq!(server.build_count(), 1, "k artifacts, one build");
 
     // The individual endpoints, served warm from the same atlas.
-    let individual: Vec<String> = artifacts
-        .iter()
-        .map(|a| {
-            let sep = if a.contains('?') { "&" } else { "?" };
-            String::from_utf8(get_ok(&server, &format!("/{a}{sep}seed={SEED}"))).unwrap()
-        })
-        .collect();
+    let expected = expected_batch(&server, &artifacts, SEED);
     assert_eq!(
         server.build_count(),
         1,
         "individual requests were cache hits"
     );
-
-    // Reconstruct the exact batch wire format from the individual
-    // bodies: equality here proves every embedded body is byte-identical
-    // to its endpoint's response.
-    let results: Vec<String> = artifacts
-        .iter()
-        .zip(&individual)
-        .map(|(a, body)| {
-            let spec = serde_json::Value::String(a.to_string()).to_string();
-            format!("{{\"artifact\":{spec},\"status\":200,\"body\":{body}}}")
-        })
-        .collect();
-    let expected = format!(
-        "{{\"count\":{},\"results\":[{}]}}",
-        artifacts.len(),
-        results.join(",")
-    );
     assert_eq!(
         text, expected,
         "batch must embed the endpoint bytes verbatim"
     );
+    server.shutdown();
+}
+
+/// A spec copied from a GET URL, percent-encoding included, embeds
+/// exactly the bytes of that GET's response: specs are decoded the way
+/// a GET request target is.
+#[test]
+fn a_spec_copied_from_a_get_url_embeds_the_get_response() {
+    let server = start();
+    let artifacts = [
+        "fingerprint/Indian%20Subcontinent?k=3",
+        "tree/pattern/cos%69ne",
+    ];
+    let (status, body) = server
+        .post(
+            &format!("/batch?seed={SEED}"),
+            batch_body(&artifacts).as_bytes(),
+        )
+        .expect("POST /batch");
+    let text = String::from_utf8(body).unwrap();
+    assert_eq!(status, 200, "{text}");
+    assert_eq!(text, expected_batch(&server, &artifacts, SEED));
     server.shutdown();
 }
 

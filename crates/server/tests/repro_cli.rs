@@ -1,5 +1,6 @@
 //! The `repro` command line: bad arguments are usage errors (non-zero
-//! exit, no panic, nothing built or written), and a small run succeeds.
+//! exit, no panic, nothing built or written), and small runs succeed in
+//! text and JSON mode.
 
 use std::process::{Command, Output};
 
@@ -59,4 +60,73 @@ fn small_table1_run_succeeds() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("Indian Subcontinent"));
+}
+
+#[test]
+fn every_linkage_the_server_accepts_is_accepted() {
+    let dir = std::env::temp_dir();
+    assert_usage_error(
+        &repro(&dir, &["--linkage", "mystery", "table1"]),
+        "unknown linkage mystery",
+    );
+    let out = repro(&dir, &["--scale", "0.01", "--linkage", "median", "figure2"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("linkage median"), "{stderr}");
+}
+
+/// Split `--json` output into its pretty-printed documents: each one
+/// ends at a closing bracket in the first column.
+fn json_documents(stdout: &str) -> Vec<serde_json::Value> {
+    let mut docs = Vec::new();
+    let mut current = String::new();
+    for line in stdout.lines() {
+        current.push_str(line);
+        current.push('\n');
+        if line == "}" || line == "]" {
+            docs.push(serde_json::from_str(&current).expect("each document parses"));
+            current.clear();
+        }
+    }
+    assert!(current.trim().is_empty(), "trailing output: {current}");
+    docs
+}
+
+#[test]
+fn json_documents_parse_and_all_holds_the_single_documents() {
+    let experiments = [
+        "table1", "figure1", "figure2", "figure3", "figure4", "figure5", "figure6", "validate",
+    ];
+    let mut args = vec!["--scale", "0.01", "--seed", "23", "--json"];
+    args.extend(experiments);
+    args.push("all");
+    let out = repro(&std::env::temp_dir(), &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let docs = json_documents(&String::from_utf8(out.stdout).unwrap());
+    // One document per experiment, then `all`, then the metrics snapshot.
+    assert_eq!(docs.len(), experiments.len() + 2);
+    assert!(docs[experiments.len() + 1]["metrics"]["spans"]
+        .as_object()
+        .is_some());
+    let all = docs[experiments.len()]
+        .as_object()
+        .expect("all is an object");
+    let keys: Vec<&str> = all.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        ["table1", "figure2", "figure3", "figure4", "figure5", "figure6", "figure1"]
+    );
+    for (key, member) in all.iter() {
+        let i = experiments.iter().position(|e| e == key).unwrap();
+        assert_eq!(member, &docs[i], "all.{key} differs from --json {key}");
+    }
+
+    let out = repro(
+        &std::env::temp_dir(),
+        &["--scale", "0.01", "--json", "stats"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stats has no JSON form");
+    assert!(stderr.contains("stats has no JSON view"), "{stderr}");
 }
