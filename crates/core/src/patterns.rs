@@ -21,18 +21,10 @@ use std::collections::{HashMap, HashSet};
 use pattern_mining::filter::closed;
 use pattern_mining::fpgrowth::FpGrowth;
 use pattern_mining::itemset::FrequentItemset;
-use pattern_mining::parallel::ParallelFpGrowth;
 use pattern_mining::transaction::TransactionDb;
 use pattern_mining::Miner;
 use recipedb::catalog::TokenId;
 use recipedb::{Cuisine, RecipeDb};
-
-/// Cuisines with at least this many recipes additionally split their own
-/// FP-Growth run across threads (the per-cuisine fan-out alone leaves the
-/// largest conditional trees of a huge cuisine as the critical path).
-const LARGE_CUISINE_RECIPES: usize = 4096;
-/// Inner-thread cap for one large cuisine's [`ParallelFpGrowth`].
-const MAX_INNER_MINE_THREADS: usize = 4;
 
 /// The mined frequent itemsets of one cuisine.
 #[derive(Debug, Clone)]
@@ -48,19 +40,6 @@ pub struct CuisinePatterns {
 impl CuisinePatterns {
     /// Mine one cuisine from the corpus with FP-Growth.
     pub fn mine(db: &RecipeDb, cuisine: Cuisine, min_support: f64) -> Self {
-        Self::mine_with_threads(db, cuisine, min_support, 1)
-    }
-
-    /// Mine one cuisine, splitting the FP-Growth conditional-tree work
-    /// across `threads` workers when `threads > 1`. The parallel miner
-    /// reproduces the sequential miner's output exactly (itemsets, counts
-    /// *and* order), so results never depend on the thread count.
-    pub fn mine_with_threads(
-        db: &RecipeDb,
-        cuisine: Cuisine,
-        min_support: f64,
-        threads: usize,
-    ) -> Self {
         let rows: Vec<Vec<u32>> = db
             .transactions_for(cuisine)
             .into_iter()
@@ -70,8 +49,6 @@ impl CuisinePatterns {
         let tdb = TransactionDb::from_rows(rows);
         let itemsets = if n_recipes == 0 {
             Vec::new()
-        } else if threads > 1 {
-            ParallelFpGrowth::new(min_support, threads).mine(&tdb)
         } else {
             FpGrowth::new(min_support).mine(&tdb)
         };
@@ -123,13 +100,12 @@ pub fn mine_all(db: &RecipeDb, min_support: f64) -> Vec<CuisinePatterns> {
 
 /// Mine an explicit cuisine list (results in list order) — uploaded
 /// corpora may cover only a subset of the 26 cuisines — fanned out over
-/// `threads` workers. Cuisines are claimed largest-first (recipe counts
-/// span Korean's 668 to Italian's 16k at full scale), and cuisines above
-/// `LARGE_CUISINE_RECIPES` (4096) recipes additionally run the multi-threaded
-/// FP-Growth so the biggest mining job cannot dominate the critical path.
-/// Per-cuisine wall-clock spans (`mine/Italian`, ...) are reported to
-/// `sink` as each cuisine finishes. The output is identical for any
-/// thread count.
+/// `threads` workers, one whole cuisine per worker at a time. Cuisines
+/// are claimed largest-first (recipe counts span Korean's 668 to
+/// Italian's 16k at full scale), so the biggest FP-Growth run starts
+/// first instead of ending the stage alone. Per-cuisine wall-clock spans
+/// (`mine/Italian`, ...) are reported to `sink` as each cuisine
+/// finishes. The output is identical for any thread count.
 pub fn mine_cuisines_threads_observed(
     db: &RecipeDb,
     cuisines: &[Cuisine],
@@ -137,26 +113,15 @@ pub fn mine_cuisines_threads_observed(
     threads: usize,
     sink: &dyn crate::pipeline::SpanSink,
 ) -> Vec<CuisinePatterns> {
-    let mine_one = |cuisine: Cuisine, inner: usize| {
-        let (mined, _) =
-            crate::pipeline::spanned(sink, &format!("mine/{}", cuisine.name()), || {
-                CuisinePatterns::mine_with_threads(db, cuisine, min_support, inner)
-            });
-        mined
-    };
-    if threads <= 1 {
-        return cuisines.iter().map(|&c| mine_one(c, 1)).collect();
-    }
     let costs: Vec<u64> = cuisines.iter().map(|&c| db.recipes_in(c) as u64).collect();
     let claim_order = par::descending_cost_order(&costs);
     par::map_claiming(threads, &claim_order, |i| {
         let cuisine = cuisines[i];
-        let inner = if db.recipes_in(cuisine) >= LARGE_CUISINE_RECIPES {
-            threads.min(MAX_INNER_MINE_THREADS)
-        } else {
-            1
-        };
-        mine_one(cuisine, inner)
+        let (mined, _) =
+            crate::pipeline::spanned(sink, &format!("mine/{}", cuisine.name()), || {
+                CuisinePatterns::mine(db, cuisine, min_support)
+            });
+        mined
     })
 }
 

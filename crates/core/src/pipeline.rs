@@ -5,9 +5,8 @@
 //!
 //! Three stages fan out over [`AtlasConfig::build_threads`] workers:
 //! corpus generation (one RNG stream per cuisine, reassembled in fixed
-//! order), per-cuisine FP-Growth mining (largest cuisines first, huge
-//! ones split across conditional trees) and the elbow sweep (one worker
-//! per k). Each is **byte-identical to its sequential counterpart**:
+//! order), per-cuisine FP-Growth mining (one whole cuisine per worker,
+//! largest first) and the elbow sweep (one worker per k). Each is **byte-identical to its sequential counterpart**:
 //! thread count is a pure wall-clock knob, never an input to any result
 //! (see DESIGN.md §"Determinism under parallelism"). The four
 //! pairwise-distance matrices run on one thread: at 26 cuisines a

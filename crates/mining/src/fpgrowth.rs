@@ -93,19 +93,19 @@ impl Miner for FpGrowth {
 /// A node-array FP-tree. `children` uses a per-node map from rank to node
 /// index; `header` threads all nodes of the same rank together for
 /// conditional-base extraction (the "header table").
-pub(crate) struct FpTree {
+struct FpTree {
     parent: Vec<u32>,
     item: Vec<u32>, // rank of the item at this node (u32::MAX at root)
     count: Vec<u64>,
     children: Vec<HashMap<u32, u32>>,
     /// header\[rank\] = indices of all nodes holding this rank.
-    pub(crate) header: Vec<Vec<u32>>,
+    header: Vec<Vec<u32>>,
     /// total count per rank inside this tree.
-    pub(crate) totals: Vec<u64>,
+    totals: Vec<u64>,
 }
 
 impl FpTree {
-    pub(crate) fn new(n_ranks: usize) -> Self {
+    fn new(n_ranks: usize) -> Self {
         FpTree {
             parent: vec![u32::MAX],
             item: vec![u32::MAX],
@@ -117,7 +117,7 @@ impl FpTree {
     }
 
     /// Insert a rank-sorted transaction with multiplicity `add`.
-    pub(crate) fn insert(&mut self, ranks: &[u32], add: u64) {
+    fn insert(&mut self, ranks: &[u32], add: u64) {
         let mut node = 0u32;
         for &r in ranks {
             let next = match self.children[node as usize].get(&r) {
@@ -140,7 +140,7 @@ impl FpTree {
     }
 
     /// Whether the tree consists of a single path from the root.
-    pub(crate) fn single_path(&self) -> Option<Vec<(u32, u64)>> {
+    fn single_path(&self) -> Option<Vec<(u32, u64)>> {
         let mut path = Vec::new();
         let mut node = 0u32;
         loop {
@@ -157,28 +157,10 @@ impl FpTree {
         }
     }
 
-    /// Per-rank mining-cost estimate: the total prefix-path length of the
-    /// rank's conditional pattern base (the work to extract and re-insert
-    /// it). Rare items sit deep in the tree, so cost grows with rank —
-    /// this quantifies the skew so parallel mining can schedule the
-    /// heaviest conditional trees first.
-    pub(crate) fn rank_costs(&self) -> Vec<u64> {
-        // Nodes are appended parent-before-child, so one forward pass
-        // resolves every depth.
-        let mut depth = vec![0u64; self.parent.len()];
-        for i in 1..self.parent.len() {
-            depth[i] = depth[self.parent[i] as usize] + 1;
-        }
-        self.header
-            .iter()
-            .map(|nodes| nodes.iter().map(|&n| depth[n as usize] - 1).sum())
-            .collect()
-    }
-
     /// The prefix-path conditional pattern base of `rank`: for each node of
     /// `rank`, the path of ranks from its parent up to the root, weighted
     /// by the node count.
-    pub(crate) fn conditional_base(&self, rank: u32) -> Vec<(Vec<u32>, u64)> {
+    fn conditional_base(&self, rank: u32) -> Vec<(Vec<u32>, u64)> {
         let mut base = Vec::new();
         for &node in &self.header[rank as usize] {
             let cnt = self.count[node as usize];
@@ -197,7 +179,7 @@ impl FpTree {
 
 /// Recursively mine `tree`, calling `emit(suffix_ranks, count)` for every
 /// frequent itemset. `suffix` holds the ranks conditioned on so far.
-pub(crate) fn mine_tree(
+fn mine_tree(
     tree: &FpTree,
     min_cnt: u64,
     suffix: &mut Vec<u32>,
@@ -228,7 +210,7 @@ pub(crate) fn mine_tree(
 /// Build the conditional FP-tree of `rank` within `tree`, pruning items
 /// that fall under `min_cnt` in the conditional base. Returns `None` when
 /// the conditional tree would be empty.
-pub(crate) fn conditional_tree(tree: &FpTree, rank: u32, min_cnt: u64) -> Option<FpTree> {
+fn conditional_tree(tree: &FpTree, rank: u32, min_cnt: u64) -> Option<FpTree> {
     let base = tree.conditional_base(rank);
     let mut cond_counts: HashMap<u32, u64> = HashMap::new();
     for (path, cnt) in &base {
@@ -257,7 +239,7 @@ pub(crate) fn conditional_tree(tree: &FpTree, rank: u32, min_cnt: u64) -> Option
 
 /// Emit all non-empty combinations of the single path's items, each with
 /// the minimum count along the chosen items, unioned with the suffix.
-pub(crate) fn emit_path_combinations(
+fn emit_path_combinations(
     path: &[(u32, u64)],
     min_cnt: u64,
     suffix: &mut Vec<u32>,

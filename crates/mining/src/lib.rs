@@ -20,8 +20,8 @@
 //! On top of raw itemsets the crate offers closed filtering ([`filter`])
 //! used by the cuisine-atlas Table I report, and direct closed-itemset
 //! mining with CHARM ([`charm`]), the test oracle for [`filter::closed`].
-//! [`parallel::ParallelFpGrowth`] is a multi-threaded FP-Growth that
-//! partitions the search space by header-table item.
+//! Every miner runs on one thread: callers that mine many databases
+//! (the atlas mines each cuisine) fan out across databases instead.
 //!
 //! ```
 //! use pattern_mining::transaction::TransactionDb;
@@ -48,7 +48,6 @@ pub mod eclat;
 pub mod filter;
 pub mod fpgrowth;
 pub mod itemset;
-pub mod parallel;
 pub mod transaction;
 
 pub use itemset::{FrequentItemset, ItemId, Itemset};

@@ -1,9 +1,8 @@
 //! Property-based cross-checks of the three miners.
 //!
-//! The central invariant: **FP-Growth, Apriori, Eclat and parallel
-//! FP-Growth return identical itemsets with identical counts** on any
-//! input, and the result obeys downward closure and brute-force support
-//! counting.
+//! The central invariant: **FP-Growth, Apriori and Eclat return
+//! identical itemsets with identical counts** on any input, and the
+//! result obeys downward closure and brute-force support counting.
 
 use proptest::prelude::*;
 
@@ -12,7 +11,6 @@ use pattern_mining::charm::Charm;
 use pattern_mining::eclat::Eclat;
 use pattern_mining::fpgrowth::FpGrowth;
 use pattern_mining::itemset::{sort_canonical, FrequentItemset, Itemset};
-use pattern_mining::parallel::ParallelFpGrowth;
 use pattern_mining::transaction::TransactionDb;
 use pattern_mining::{min_count, Miner};
 
@@ -79,7 +77,6 @@ proptest! {
             ("fpgrowth", FpGrowth::new(s).mine(&db)),
             ("apriori", Apriori::new(s).mine(&db)),
             ("eclat", Eclat::new(s).mine(&db)),
-            ("parallel", ParallelFpGrowth::new(s, 3).mine(&db)),
         ] {
             sort_canonical(&mut mined);
             prop_assert_eq!(&mined, &brute, "{} disagrees with brute force", name);

@@ -1,8 +1,8 @@
 //! Deterministic scoped parallelism for the workspace.
 //!
 //! Every parallel stage of the atlas build — corpus generation, per-cuisine
-//! mining, pairwise-distance rows, elbow-sweep k values — is a *map over an
-//! index range* whose per-index results are pure functions of the index.
+//! mining, elbow-sweep k values — is a *map over an index range* whose
+//! per-index results are pure functions of the index.
 //! This crate provides exactly that shape on `std::thread::scope`:
 //!
 //! * results come back **in index order** regardless of which worker
@@ -15,7 +15,7 @@
 //! * `threads <= 1` (or a single index) short-circuits to a plain
 //!   sequential loop with no thread spawns at all.
 //!
-//! The scheduling guarantee callers rely on: **the output of [`map`] and
+//! The scheduling guarantee callers rely on: **the output of
 //! [`map_claiming`] depends only on `f` and the index range, never on the
 //! thread count or the claim order.**
 
@@ -39,18 +39,6 @@ pub fn resolve(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Parallel map over `0..n`: returns `[f(0), f(1), ..., f(n-1)]` in index
-/// order. Indices are claimed ascending; see [`map_claiming`] to start the
-/// costliest indices first.
-pub fn map<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let order: Vec<usize> = (0..n).collect();
-    map_claiming(threads, &order, f)
 }
 
 /// Parallel map over the index set in `claim_order` (a permutation of
@@ -136,11 +124,19 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    fn ascending(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
+
     #[test]
     fn map_returns_index_order_for_any_thread_count() {
         let expect: Vec<usize> = (0..37).map(|i| i * i).collect();
         for threads in [0, 1, 2, 3, 8, 64] {
-            assert_eq!(map(threads, 37, |i| i * i), expect, "threads={threads}");
+            assert_eq!(
+                map_claiming(threads, &ascending(37), |i| i * i),
+                expect,
+                "threads={threads}"
+            );
         }
     }
 
@@ -156,7 +152,7 @@ mod tests {
     #[test]
     fn every_index_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let out = map(4, 100, |i| {
+        let out = map_claiming(4, &ascending(100), |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -166,8 +162,8 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        assert!(map(4, 0, |i| i).is_empty());
-        assert_eq!(map(4, 1, |i| i + 1), vec![1]);
+        assert!(map_claiming(4, &ascending(0), |i| i).is_empty());
+        assert_eq!(map_claiming(4, &ascending(1), |i| i + 1), vec![1]);
     }
 
     #[test]
@@ -186,7 +182,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker 3 failed")]
     fn worker_panic_reaches_the_caller() {
-        let _ = map(2, 8, |i| {
+        let _ = map_claiming(2, &ascending(8), |i| {
             if i == 3 {
                 panic!("worker {i} failed");
             }

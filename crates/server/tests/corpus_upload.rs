@@ -124,6 +124,54 @@ fn uploaded_synthetic_corpus_is_byte_identical_to_implicit() {
     }
 }
 
+/// `seed` is a generation knob, zeroed out of an upload's cache key, so
+/// over an upload it selects only the elbow's k-means seed: every other
+/// artifact serves the same bytes at any seed, all from one build.
+#[test]
+fn seed_over_an_upload_moves_only_the_elbow() {
+    let server = start(ServerConfig {
+        build_threads: parallel_threads(),
+        ..ServerConfig::default()
+    });
+    let digest = upload(&server, &io::to_json(&synthetic_corpus()).unwrap());
+    for path in [
+        "/table1",
+        "/tree/pattern/euclidean",
+        "/tree/pattern/cosine",
+        "/tree/pattern/jaccard",
+        "/tree/authenticity",
+        "/tree/geo",
+        "/compare",
+        "/fingerprint/Japanese?k=5",
+    ] {
+        let sep = if path.contains('?') { '&' } else { '?' };
+        let at = |seed: u64| get_ok(&server, &format!("{path}{sep}corpus={digest}&seed={seed}"));
+        assert_eq!(
+            at(1),
+            at(999),
+            "GET {path}: seed must not change an upload's bytes"
+        );
+    }
+    for seed in [1u64, 999] {
+        let body = get_ok(
+            &server,
+            &format!("/elbow?k_max=6&corpus={digest}&seed={seed}"),
+        );
+        let v: serde_json::Value = serde_json::from_slice(&body).expect("elbow JSON");
+        assert_eq!(
+            v["seed"].as_u64(),
+            Some(seed),
+            "the elbow reports its k-means seed"
+        );
+    }
+    assert_eq!(
+        server.build_count(),
+        1,
+        "every seed shares the upload's build"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn reupload_is_idempotent() {
     let server = start(ServerConfig::default());

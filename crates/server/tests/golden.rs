@@ -1,0 +1,170 @@
+//! Golden digests of served bodies, pinned across commits.
+//!
+//! The other byte-identity suites compare a server with itself (across
+//! thread counts, restarts or request paths), so a change that alters a
+//! body alters it on both sides and passes them. This test hashes each
+//! body with SHA-256 and compares the digest, with the status, against a
+//! checked-in list (`fixtures/golden_digests.txt`, one line per request:
+//! digest, status, method, target).
+//!
+//! Covered, each configuration built once:
+//! - every artifact of `quick(23)` under `average` and `complete`
+//!   linkage: fingerprints of two cuisines at two `k`, the elbow at its
+//!   default and one explicit `k_max`;
+//! - the same artifacts over a six-cuisine subset of that corpus, and
+//!   its `POST /corpus` response (`{upload}` in a target stands for the
+//!   digest the upload returns);
+//! - `/cuisines` and one `/batch` body.
+//!
+//! Not covered: `/health` and `/metrics` (they carry timings),
+//! `repro --json` and the snapshot frames.
+//!
+//! The digests were recorded on `x86_64-unknown-linux-gnu`. Bodies are
+//! pure functions of their configuration, but the geography tree's
+//! great-circle distances go through the platform's libm, so another
+//! target may differ there. A change that alters bodies on purpose
+//! re-records the list from this test's failure output and says why.
+
+use std::collections::BTreeMap;
+
+use atlas_server::{ServerConfig, ServerHandle};
+use cuisine_atlas::pipeline::AtlasConfig;
+use recipedb::digest::Sha256;
+use recipedb::generator::CorpusGenerator;
+use recipedb::store::RecipeDbBuilder;
+use recipedb::{io, Cuisine};
+
+const FIXTURE: &str = include_str!("fixtures/golden_digests.txt");
+const SEED: u64 = 23;
+/// The uploaded subset: both fingerprinted cuisines and four more.
+const SUBSET: [Cuisine; 6] = [
+    Cuisine::IndianSubcontinent,
+    Cuisine::Italian,
+    Cuisine::Japanese,
+    Cuisine::Korean,
+    Cuisine::Mexican,
+    Cuisine::Thai,
+];
+
+/// Every artifact route, with `query` appended.
+fn artifact_targets(query: &str) -> Vec<String> {
+    [
+        "/table1",
+        "/tree/pattern/euclidean",
+        "/tree/pattern/cosine",
+        "/tree/pattern/jaccard",
+        "/tree/authenticity",
+        "/tree/geo",
+        "/compare",
+        "/fingerprint/Japanese?k=3",
+        "/fingerprint/Japanese?k=8",
+        "/fingerprint/Indian%20Subcontinent?k=3",
+        "/fingerprint/Indian%20Subcontinent?k=8",
+        "/elbow",
+        "/elbow?k_max=4",
+    ]
+    .iter()
+    .map(|path| {
+        let sep = if path.contains('?') { '&' } else { '?' };
+        format!("{path}{sep}{query}")
+    })
+    .collect()
+}
+
+/// `quick(SEED)`'s corpus restricted to [`SUBSET`], as upload JSON.
+fn subset_corpus_json() -> String {
+    let full = CorpusGenerator::new(AtlasConfig::quick(SEED).corpus).generate();
+    let mut b = RecipeDbBuilder::new();
+    *b.catalog_mut() = full.catalog().clone();
+    for r in full.recipes().filter(|r| SUBSET.contains(&r.cuisine)) {
+        b.add_recipe(
+            r.name.clone(),
+            r.cuisine,
+            r.ingredients.clone(),
+            r.processes.clone(),
+            r.utensils.clone(),
+        );
+    }
+    io::to_json(&b.build().unwrap()).unwrap()
+}
+
+/// One fixture line for a served response.
+fn line(method: &str, target: &str, status: u16, body: &[u8]) -> String {
+    format!("{} {status} {method} {target}", Sha256::hex_digest(body))
+}
+
+#[test]
+fn served_bodies_match_the_recorded_digests() {
+    let server = ServerHandle::start(ServerConfig {
+        cache_capacity: 4,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut actual = Vec::new();
+    let mut targets = vec!["/cuisines".to_string()];
+    for linkage in ["average", "complete"] {
+        targets.extend(artifact_targets(&format!("seed={SEED}&linkage={linkage}")));
+    }
+    for target in &targets {
+        let (status, body) = server.get(target).expect("GET succeeds");
+        actual.push(line("GET", target, status, &body));
+    }
+
+    let batch_target = format!("/batch?seed={SEED}");
+    let batch =
+        r#"{"artifacts":["table1","fingerprint/Korean?k=4","elbow?k_max=4","tree/pattern/nope"]}"#;
+    let (status, body) = server.post(&batch_target, batch.as_bytes()).unwrap();
+    actual.push(line("POST", &batch_target, status, &body));
+
+    let (status, body) = server
+        .post("/corpus", subset_corpus_json().as_bytes())
+        .unwrap();
+    actual.push(line("POST", "/corpus", status, &body));
+    let response: serde_json::Value = serde_json::from_slice(&body).expect("upload JSON");
+    let digest = response["corpus"].as_str().expect("upload digest");
+    for target in artifact_targets("corpus={upload}") {
+        let (status, body) = server
+            .get(&target.replace("{upload}", digest))
+            .expect("GET succeeds");
+        actual.push(line("GET", &target, status, &body));
+    }
+    assert_eq!(server.build_count(), 3, "one build per configuration");
+    server.shutdown();
+
+    // Keyed by "<method> <target>": the value is "<digest> <status>".
+    let split = |l: &str| {
+        let mut fields = l.splitn(3, ' ');
+        let digest = fields.next().unwrap_or_default();
+        let status = fields.next().unwrap_or_default();
+        (
+            fields.next().unwrap_or_default().to_string(),
+            format!("{digest} {status}"),
+        )
+    };
+    let expected: BTreeMap<String, String> = FIXTURE.lines().map(split).collect();
+    let got: BTreeMap<String, String> = actual.iter().map(|l| split(l)).collect();
+    let mut mismatches = Vec::new();
+    for (request, want) in &expected {
+        match got.get(request) {
+            Some(have) if have == want => {}
+            Some(have) => {
+                mismatches.push(format!("{request}\n  expected {want}\n  got      {have}"))
+            }
+            None => mismatches.push(format!("{request}\n  expected {want}\n  not requested")),
+        }
+    }
+    for (request, have) in &got {
+        if !expected.contains_key(request) {
+            mismatches.push(format!(
+                "{request}\n  not in the fixture\n  got      {have}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} served bodies differ from the golden digests:\n{}\n\nfull list:\n{}",
+        mismatches.len(),
+        mismatches.join("\n"),
+        actual.join("\n")
+    );
+}
