@@ -10,10 +10,8 @@
 //! over-represented in `c`, negative for items conspicuously absent; both
 //! tails carry signal, which is why the fingerprint keeps the sign.
 
-use std::collections::HashMap;
-
 use recipedb::catalog::TokenId;
-use recipedb::{Cuisine, ItemKind, RecipeDb};
+use recipedb::{Cuisine, RecipeDb};
 
 /// Cuisines × items relative-prevalence matrix.
 ///
@@ -39,52 +37,59 @@ impl AuthenticityMatrix {
     /// cuisines", so relative prevalence equals prevalence rather than
     /// dividing by zero.
     pub fn ingredients_over(db: &RecipeDb, cuisines: &[Cuisine]) -> Self {
-        let n_cuisines = cuisines.len();
-
-        // Count, per cuisine, in how many recipes each token occurs.
-        let mut columns: HashMap<TokenId, usize> = HashMap::new();
-        let mut counts: Vec<HashMap<TokenId, u32>> = Vec::with_capacity(n_cuisines);
+        // Columns: the ingredients the covered recipes use, ascending. A
+        // recipe's ingredient ids are sorted and distinct, and an
+        // ingredient's token id is its ingredient id. Used ingredients
+        // are first marked 0, then numbered.
+        let mut column = vec![u32::MAX; db.catalog().ingredient_count()];
         for &c in cuisines {
-            let freq = db.item_frequencies(c);
-            for (&tok, _) in freq.iter() {
-                let kind = db.catalog().kind_of(tok).expect("token in catalog");
-                if kind == ItemKind::Ingredient {
-                    let next = columns.len();
-                    columns.entry(tok).or_insert(next);
-                }
-            }
-            counts.push(freq);
-        }
-        let mut items: Vec<(TokenId, usize)> = columns.into_iter().collect();
-        items.sort_by_key(|&(tok, _)| tok);
-        let col_of: HashMap<TokenId, usize> = items
-            .iter()
-            .enumerate()
-            .map(|(j, &(tok, _))| (tok, j))
-            .collect();
-        let items: Vec<TokenId> = items.into_iter().map(|(t, _)| t).collect();
-
-        let mut prevalence = vec![vec![0.0; items.len()]; n_cuisines];
-        for (row, (&cuisine, freq)) in prevalence.iter_mut().zip(cuisines.iter().zip(&counts)) {
-            let denom = db.recipes_in(cuisine).max(1) as f64;
-            for (&tok, &n) in freq {
-                if let Some(&j) = col_of.get(&tok) {
-                    row[j] = n as f64 / denom;
+            for r in db.cuisine_recipes(c) {
+                for i in &r.ingredients {
+                    column[i.0 as usize] = 0;
                 }
             }
         }
+        let mut items = Vec::with_capacity(column.iter().filter(|&&col| col == 0).count());
+        for (id, col) in column.iter_mut().enumerate() {
+            if *col == 0 {
+                *col = items.len() as u32;
+                items.push(TokenId(id as u32));
+            }
+        }
 
-        // Relative prevalence: subtract the mean over the *other* cuisines.
-        let mut relative = vec![vec![0.0; items.len()]; n_cuisines];
-        for j in 0..items.len() {
-            let total: f64 = prevalence.iter().map(|row| row[j]).sum();
-            for c in 0..n_cuisines {
+        // Prevalence: count each cuisine's recipes per ingredient straight
+        // into its row (integer counts are exact in f64), then divide.
+        let mut relative = vec![vec![0.0; items.len()]; cuisines.len()];
+        for (row, &c) in relative.iter_mut().zip(cuisines) {
+            for r in db.cuisine_recipes(c) {
+                for i in &r.ingredients {
+                    row[column[i.0 as usize] as usize] += 1.0;
+                }
+            }
+            let denom = db.recipes_in(c).max(1) as f64;
+            for p in row.iter_mut() {
+                *p /= denom;
+            }
+        }
+        drop(column);
+
+        // Relative prevalence: subtract the mean over the *other*
+        // cuisines, in place.
+        let mut totals = vec![0.0; items.len()];
+        for row in &relative {
+            for (total, &p) in totals.iter_mut().zip(row) {
+                *total += p;
+            }
+        }
+        let n_cuisines = cuisines.len();
+        for row in &mut relative {
+            for (p, &total) in row.iter_mut().zip(&totals) {
                 let others = if n_cuisines > 1 {
-                    (total - prevalence[c][j]) / (n_cuisines as f64 - 1.0)
+                    (total - *p) / (n_cuisines as f64 - 1.0)
                 } else {
                     0.0
                 };
-                relative[c][j] = prevalence[c][j] - others;
+                *p -= others;
             }
         }
 
@@ -155,6 +160,7 @@ impl AuthenticityMatrix {
 mod tests {
     use super::*;
     use recipedb::generator::{CorpusGenerator, GeneratorConfig};
+    use recipedb::ItemKind;
 
     fn db() -> RecipeDb {
         CorpusGenerator::new(GeneratorConfig::paper_scale(0.03).with_seed(3)).generate()

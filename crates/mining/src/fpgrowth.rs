@@ -14,8 +14,16 @@
 //! * a **single-path shortcut**: when a (conditional) tree degenerates to
 //!   one path, all `2^k − 1` item combinations along the path are emitted
 //!   directly instead of recursing.
-
-use std::collections::HashMap;
+//!
+//! Everything is counted densely. Item counts and ranks are arrays over
+//! the item-id range `0..=max_item` (the miner is fed dense token ids);
+//! a tree is one array of nodes linked first-child/next-sibling, with a
+//! per-rank chain through the nodes of each rank (the header table); a
+//! conditional pattern base is one flat buffer of ranks plus the end and
+//! count of each path, counted into a per-rank array. The base and its
+//! counts live in one scratch reused for the whole run, so a conditional
+//! tree costs a few allocations, not one per node or path. None of this
+//! moves the emission order, which depends only on the rank order.
 
 use crate::itemset::{FrequentItemset, ItemId, Itemset};
 use crate::transaction::TransactionDb;
@@ -40,48 +48,67 @@ impl FpGrowth {
 
 impl Miner for FpGrowth {
     fn mine(&self, db: &TransactionDb) -> Vec<FrequentItemset> {
-        if db.is_empty() {
+        let Some(max_item) = db.max_item() else {
             return Vec::new();
-        }
+        };
         let min_cnt = min_count(self.min_support, db.len());
 
-        // Global item frequencies; keep frequent ones, ranked by
-        // descending count (ties by ascending id) for the tree order.
-        let counts = db.item_counts();
-        let mut frequent: Vec<(ItemId, u64)> =
-            counts.into_iter().filter(|&(_, c)| c >= min_cnt).collect();
-        frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let rank: HashMap<ItemId, u32> = frequent
-            .iter()
-            .enumerate()
-            .map(|(i, &(item, _))| (item, i as u32))
+        // Global item frequencies (rows are distinct, so this counts
+        // transactions); keep frequent items, ranked by descending count
+        // (ties by ascending id) for the tree order.
+        let mut counts = vec![0u64; max_item as usize + 1];
+        for row in db.rows() {
+            for &item in row {
+                counts[item as usize] += 1;
+            }
+        }
+        let mut items_by_rank: Vec<ItemId> = (0..=max_item)
+            .filter(|&item| counts[item as usize] >= min_cnt)
             .collect();
-        if frequent.is_empty() {
+        if items_by_rank.is_empty() {
             return Vec::new();
         }
+        items_by_rank.sort_by(|&a, &b| counts[b as usize].cmp(&counts[a as usize]).then(a.cmp(&b)));
+        let mut rank = vec![NONE; counts.len()];
+        for (r, &item) in items_by_rank.iter().enumerate() {
+            rank[item as usize] = r as u32;
+        }
+        drop(counts);
 
         // Build the initial tree over rank-encoded transactions.
-        let mut tree = FpTree::new(frequent.len());
-        let mut encoded: Vec<u32> = Vec::new();
+        let mut scratch = Scratch::default();
+        let mut tree = FpTree::new(items_by_rank.len(), 0);
         for row in db.rows() {
+            let encoded = &mut scratch.path;
             encoded.clear();
-            encoded.extend(row.iter().filter_map(|it| rank.get(it).copied()));
+            encoded.extend(
+                row.iter()
+                    .map(|&it| rank[it as usize])
+                    .filter(|&r| r != NONE),
+            );
             encoded.sort_unstable();
-            tree.insert(&encoded, 1);
+            tree.insert(encoded, 1);
         }
+        drop(rank);
 
         // Mine, translating ranks back to item ids at emission.
-        let items_by_rank: Vec<ItemId> = frequent.iter().map(|&(it, _)| it).collect();
         let mut out = Vec::new();
         let mut suffix: Vec<u32> = Vec::new();
-        mine_tree(&tree, min_cnt, &mut suffix, &mut |ranks, count| {
-            let mut items: Vec<ItemId> = ranks.iter().map(|&r| items_by_rank[r as usize]).collect();
-            items.sort_unstable();
-            out.push(FrequentItemset {
-                items: Itemset::from_sorted(items),
-                count,
-            });
-        });
+        mine_tree(
+            &tree,
+            min_cnt,
+            &mut suffix,
+            &mut scratch,
+            &mut |ranks, count| {
+                let mut items: Vec<ItemId> =
+                    ranks.iter().map(|&r| items_by_rank[r as usize]).collect();
+                items.sort_unstable();
+                out.push(FrequentItemset {
+                    items: Itemset::from_sorted(items),
+                    count,
+                });
+            },
+        );
         out
     }
 
@@ -90,91 +117,107 @@ impl Miner for FpGrowth {
     }
 }
 
-/// A node-array FP-tree. `children` uses a per-node map from rank to node
-/// index; `header` threads all nodes of the same rank together for
-/// conditional-base extraction (the "header table").
+/// The absent index: no parent, child, sibling or next node of a rank.
+const NONE: u32 = u32::MAX;
+
+/// One FP-tree node. `link` threads the nodes of one rank together.
+#[derive(Clone, Copy)]
+struct Node {
+    /// Rank of the item at this node (`NONE` at the root).
+    rank: u32,
+    parent: u32,
+    first_child: u32,
+    next_sibling: u32,
+    link: u32,
+    count: u64,
+}
+
+/// An FP-tree as one node array; node 0 is the root.
 struct FpTree {
-    parent: Vec<u32>,
-    item: Vec<u32>, // rank of the item at this node (u32::MAX at root)
-    count: Vec<u64>,
-    children: Vec<HashMap<u32, u32>>,
-    /// header\[rank\] = indices of all nodes holding this rank.
-    header: Vec<Vec<u32>>,
-    /// total count per rank inside this tree.
+    nodes: Vec<Node>,
+    /// heads\[rank\] = the most recently added node of this rank.
+    heads: Vec<u32>,
+    /// Total count per rank inside this tree.
     totals: Vec<u64>,
 }
 
 impl FpTree {
-    fn new(n_ranks: usize) -> Self {
-        FpTree {
-            parent: vec![u32::MAX],
-            item: vec![u32::MAX],
-            count: vec![0],
-            children: vec![HashMap::new()],
-            header: vec![Vec::new(); n_ranks],
+    /// An empty tree over ranks `0..n_ranks`, with room for `nodes`
+    /// nodes besides the root.
+    fn new(n_ranks: usize, nodes: usize) -> Self {
+        let mut tree = FpTree {
+            nodes: Vec::with_capacity(nodes + 1),
+            heads: vec![NONE; n_ranks],
             totals: vec![0; n_ranks],
-        }
+        };
+        tree.nodes.push(Node {
+            rank: NONE,
+            parent: NONE,
+            first_child: NONE,
+            next_sibling: NONE,
+            link: NONE,
+            count: 0,
+        });
+        tree
     }
 
     /// Insert a rank-sorted transaction with multiplicity `add`.
     fn insert(&mut self, ranks: &[u32], add: u64) {
         let mut node = 0u32;
         for &r in ranks {
-            let next = match self.children[node as usize].get(&r) {
-                Some(&c) => c,
-                None => {
-                    let idx = self.parent.len() as u32;
-                    self.parent.push(node);
-                    self.item.push(r);
-                    self.count.push(0);
-                    self.children.push(HashMap::new());
-                    self.children[node as usize].insert(r, idx);
-                    self.header[r as usize].push(idx);
-                    idx
-                }
-            };
-            self.count[next as usize] += add;
+            let mut child = self.nodes[node as usize].first_child;
+            while child != NONE && self.nodes[child as usize].rank != r {
+                child = self.nodes[child as usize].next_sibling;
+            }
+            if child == NONE {
+                child = self.nodes.len() as u32;
+                self.nodes.push(Node {
+                    rank: r,
+                    parent: node,
+                    first_child: NONE,
+                    next_sibling: self.nodes[node as usize].first_child,
+                    link: self.heads[r as usize],
+                    count: 0,
+                });
+                self.nodes[node as usize].first_child = child;
+                self.heads[r as usize] = child;
+            }
+            self.nodes[child as usize].count += add;
             self.totals[r as usize] += add;
-            node = next;
+            node = child;
         }
     }
 
-    /// Whether the tree consists of a single path from the root.
-    fn single_path(&self) -> Option<Vec<(u32, u64)>> {
-        let mut path = Vec::new();
-        let mut node = 0u32;
-        loop {
-            let kids = &self.children[node as usize];
-            match kids.len() {
-                0 => return Some(path),
-                1 => {
-                    let &child = kids.values().next().expect("one child");
-                    path.push((self.item[child as usize], self.count[child as usize]));
-                    node = child;
-                }
-                _ => return None,
+    /// If the tree is a single path from the root, its `(rank, count)`
+    /// nodes from the root down, written into `path`.
+    fn single_path(&self, path: &mut Vec<(u32, u64)>) -> bool {
+        path.clear();
+        let mut node = self.nodes[0].first_child;
+        while node != NONE {
+            let n = self.nodes[node as usize];
+            if n.next_sibling != NONE {
+                return false;
             }
+            path.push((n.rank, n.count));
+            node = n.first_child;
         }
+        true
     }
+}
 
-    /// The prefix-path conditional pattern base of `rank`: for each node of
-    /// `rank`, the path of ranks from its parent up to the root, weighted
-    /// by the node count.
-    fn conditional_base(&self, rank: u32) -> Vec<(Vec<u32>, u64)> {
-        let mut base = Vec::new();
-        for &node in &self.header[rank as usize] {
-            let cnt = self.count[node as usize];
-            let mut path = Vec::new();
-            let mut cur = self.parent[node as usize];
-            while cur != u32::MAX && self.item[cur as usize] != u32::MAX {
-                path.push(self.item[cur as usize]);
-                cur = self.parent[cur as usize];
-            }
-            path.reverse();
-            base.push((path, cnt));
-        }
-        base
-    }
+/// Buffers reused across every conditional tree of one run.
+#[derive(Default)]
+struct Scratch {
+    /// The conditional base: every prefix path's ranks, root first.
+    base: Vec<u32>,
+    /// `(end in base, count)` of each prefix path.
+    ends: Vec<(usize, u64)>,
+    /// Per-rank count of the conditional base.
+    counts: Vec<u64>,
+    /// One path being inserted.
+    path: Vec<u32>,
+    /// The single path of a tree, for the shortcut.
+    single: Vec<(u32, u64)>,
 }
 
 /// Recursively mine `tree`, calling `emit(suffix_ranks, count)` for every
@@ -183,56 +226,85 @@ fn mine_tree(
     tree: &FpTree,
     min_cnt: u64,
     suffix: &mut Vec<u32>,
+    scratch: &mut Scratch,
     emit: &mut impl FnMut(&[u32], u64),
 ) {
     // Single-path shortcut: emit every combination along the path.
-    if let Some(path) = tree.single_path() {
-        emit_path_combinations(&path, min_cnt, suffix, emit);
+    if tree.single_path(&mut scratch.single) {
+        emit_path_combinations(&scratch.single, min_cnt, suffix, emit);
         return;
     }
 
     // General case: iterate ranks bottom-up (ascending support order is
     // not required for correctness; any order visits each item once).
-    for rank in (0..tree.header.len() as u32).rev() {
+    for rank in (0..tree.totals.len() as u32).rev() {
         let total = tree.totals[rank as usize];
         if total < min_cnt {
             continue;
         }
         suffix.push(rank);
         emit(suffix, total);
-        if let Some(cond) = conditional_tree(tree, rank, min_cnt) {
-            mine_tree(&cond, min_cnt, suffix, emit);
+        if let Some(cond) = conditional_tree(tree, rank, min_cnt, scratch) {
+            mine_tree(&cond, min_cnt, suffix, scratch, emit);
         }
         suffix.pop();
     }
 }
 
-/// Build the conditional FP-tree of `rank` within `tree`, pruning items
-/// that fall under `min_cnt` in the conditional base. Returns `None` when
-/// the conditional tree would be empty.
-fn conditional_tree(tree: &FpTree, rank: u32, min_cnt: u64) -> Option<FpTree> {
-    let base = tree.conditional_base(rank);
-    let mut cond_counts: HashMap<u32, u64> = HashMap::new();
-    for (path, cnt) in &base {
-        for &r in path {
-            *cond_counts.entry(r).or_insert(0) += cnt;
+/// Build the conditional FP-tree of `rank` within `tree` from its
+/// prefix-path conditional base (for each node of `rank`, the ranks from
+/// the root down to its parent, weighted by the node's count), pruning
+/// ranks that fall under `min_cnt` in the base. Returns `None` when the
+/// conditional tree would be empty.
+fn conditional_tree(
+    tree: &FpTree,
+    rank: u32,
+    min_cnt: u64,
+    scratch: &mut Scratch,
+) -> Option<FpTree> {
+    let Scratch {
+        base,
+        ends,
+        counts,
+        path,
+        ..
+    } = scratch;
+    base.clear();
+    ends.clear();
+    // Paths hold only ranks below `rank`, the only ones counted here.
+    counts.clear();
+    counts.resize(rank as usize, 0);
+    let mut node = tree.heads[rank as usize];
+    while node != NONE {
+        let start = base.len();
+        let count = tree.nodes[node as usize].count;
+        let mut cur = tree.nodes[node as usize].parent;
+        while cur != 0 {
+            let r = tree.nodes[cur as usize].rank;
+            base.push(r);
+            counts[r as usize] += count;
+            cur = tree.nodes[cur as usize].parent;
         }
+        base[start..].reverse();
+        ends.push((base.len(), count));
+        node = tree.nodes[node as usize].link;
     }
-    let keep: std::collections::HashSet<u32> = cond_counts
-        .iter()
-        .filter(|&(_, &c)| c >= min_cnt)
-        .map(|(&r, _)| r)
-        .collect();
-    if keep.is_empty() {
+    if counts.iter().all(|&c| c < min_cnt) {
         return None;
     }
-    let mut cond = FpTree::new(tree.header.len());
-    let mut filtered: Vec<u32> = Vec::new();
-    for (path, cnt) in &base {
-        filtered.clear();
-        filtered.extend(path.iter().copied().filter(|r| keep.contains(r)));
+    let mut cond = FpTree::new(rank as usize, base.len());
+    let mut start = 0;
+    for &(end, count) in ends.iter() {
+        path.clear();
+        path.extend(
+            base[start..end]
+                .iter()
+                .copied()
+                .filter(|&r| counts[r as usize] >= min_cnt),
+        );
         // Paths are already in ascending rank order.
-        cond.insert(&filtered, *cnt);
+        cond.insert(path, count);
+        start = end;
     }
     Some(cond)
 }
@@ -248,15 +320,11 @@ fn emit_path_combinations(
     // Counts along a root-to-leaf path are non-increasing, so the count of
     // a combination is the count of its deepest item; prune items below
     // min_cnt up front.
-    let eligible: Vec<(u32, u64)> = path
-        .iter()
-        .copied()
-        .take_while(|&(_, c)| c >= min_cnt)
-        .collect();
-    let n = eligible.len();
+    let n = path.iter().take_while(|&&(_, c)| c >= min_cnt).count();
     if n == 0 {
         return;
     }
+    let eligible = &path[..n];
     // Enumerate subsets via bitmask; n is small in practice (tree depth).
     assert!(n < 64, "single path too long for subset enumeration");
     for mask in 1u64..(1u64 << n) {

@@ -394,11 +394,18 @@ fn compile_cuisine(
     }
 }
 
+/// One recipe's ingredient, process and utensil lists.
+type RecipeItems = (Vec<IngredientId>, Vec<ProcessId>, Vec<UtensilId>);
+
 /// One cuisine's generated recipes, in generation order.
-type CuisineBatch = Vec<(Vec<IngredientId>, Vec<ProcessId>, Vec<UtensilId>)>;
+type CuisineBatch = Vec<RecipeItems>;
 
 /// Generate one cuisine's full recipe batch from its own derived RNG
 /// stream. Pure in its inputs — safe to run on any thread, in any order.
+///
+/// Each recipe is drawn into one reused scratch triple and normalized
+/// there (sorted, deduplicated), so the batch keeps exact-size lists
+/// rather than each recipe's growth capacity.
 fn cuisine_batch(
     cc: &CompiledCuisine,
     cfg: &GeneratorConfig,
@@ -411,9 +418,28 @@ fn cuisine_batch(
     let mut rng = StdRng::seed_from_u64(
         cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cc.cuisine.index() as u64 + 1)),
     );
-    (0..n)
-        .map(|_| generate_recipe(cc, cfg, tail_ids, process_fill, utensil_fill, &mut rng))
-        .collect()
+    let mut scratch = RecipeItems::default();
+    let mut batch = Vec::with_capacity(n);
+    for _ in 0..n {
+        generate_recipe(
+            cc,
+            cfg,
+            tail_ids,
+            process_fill,
+            utensil_fill,
+            &mut rng,
+            &mut scratch,
+        );
+        let (ingredients, processes, utensils) = &mut scratch;
+        ingredients.sort_unstable();
+        ingredients.dedup();
+        processes.sort_unstable();
+        processes.dedup();
+        utensils.sort_unstable();
+        utensils.dedup();
+        batch.push((ingredients.to_vec(), processes.to_vec(), utensils.to_vec()));
+    }
+    batch
 }
 
 /// Sample an approximately normal count via Box–Muller, clamped.
@@ -425,12 +451,7 @@ fn sample_count(rng: &mut StdRng, mean: f64, sd: f64, min: usize, max: usize) ->
     (v.max(min as f64) as usize).min(max)
 }
 
-fn fire_motif(
-    m: &CompiledMotif,
-    has_utensils: bool,
-    out: &mut (Vec<IngredientId>, Vec<ProcessId>, Vec<UtensilId>),
-    rng: &mut StdRng,
-) {
+fn fire_motif(m: &CompiledMotif, has_utensils: bool, out: &mut RecipeItems, rng: &mut StdRng) {
     if m.requires_utensils && !has_utensils {
         return;
     }
@@ -445,7 +466,8 @@ fn fire_motif(
     }
 }
 
-#[allow(clippy::type_complexity)]
+/// Draw one recipe into `out`, replacing what it held. The lists come
+/// out unsorted and may repeat an item.
 fn generate_recipe(
     cc: &CompiledCuisine,
     cfg: &GeneratorConfig,
@@ -453,12 +475,15 @@ fn generate_recipe(
     process_ids: &[ProcessId],
     utensil_ids: &[UtensilId],
     rng: &mut StdRng,
-) -> (Vec<IngredientId>, Vec<ProcessId>, Vec<UtensilId>) {
+    out: &mut RecipeItems,
+) {
+    out.0.clear();
+    out.1.clear();
+    out.2.clear();
     let has_utensils = rng.gen_bool(cfg.utensil_presence);
-    let mut out = (Vec::new(), Vec::new(), Vec::new());
 
     for motif in &cc.motifs {
-        fire_motif(motif, has_utensils, &mut out, rng);
+        fire_motif(motif, has_utensils, out, rng);
     }
 
     for staple in &cc.staples {
@@ -504,8 +529,6 @@ fn generate_recipe(
             out.2.push(utensil_ids[rng.gen_range(0..utensil_ids.len())]);
         }
     }
-
-    out
 }
 
 #[cfg(test)]

@@ -1,7 +1,5 @@
 //! The in-memory recipe database: recipes + catalogs + cuisine indices.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::{Catalog, TokenId};
@@ -112,18 +110,6 @@ impl RecipeDb {
     /// Compute corpus-wide statistics.
     pub fn stats(&self) -> CorpusStats {
         CorpusStats::compute(self)
-    }
-
-    /// Per-cuisine item prevalence counts: for every token, in how many
-    /// recipes of `cuisine` it appears.
-    pub fn item_frequencies(&self, cuisine: Cuisine) -> HashMap<TokenId, u32> {
-        let mut freq: HashMap<TokenId, u32> = HashMap::new();
-        for r in self.cuisine_recipes(cuisine) {
-            for tok in self.recipe_tokens(r) {
-                *freq.entry(tok).or_insert(0) += 1;
-            }
-        }
-        freq
     }
 
     /// Validate internal invariants (dense ids, in-range references,
@@ -352,16 +338,6 @@ mod tests {
         }
         // r0 has 4 items across kinds.
         assert_eq!(txs[0].len(), 4);
-    }
-
-    #[test]
-    fn item_frequencies_count_recipes_not_occurrences() {
-        let db = tiny_db();
-        let soy_tok = db.catalog().token_of(Item::Ingredient(
-            db.catalog().ingredient("soy sauce").unwrap(),
-        ));
-        let freq = db.item_frequencies(Cuisine::Japanese);
-        assert_eq!(freq.get(&soy_tok), Some(&2));
     }
 
     #[test]

@@ -16,8 +16,13 @@
 //!   digest the upload returns);
 //! - `/cuisines` and one `/batch` body.
 //!
+//! A second test pins the generated corpora themselves, for `quick(23)`
+//! and for seed 23 at scale 0.08: the `io::to_json` bytes, the
+//! `corpus_digest` and the `snapshot::encode_corpus` frame. Their
+//! fixture lines read `<digest> corpus <what> <config>`.
+//!
 //! Not covered: `/health` and `/metrics` (they carry timings),
-//! `repro --json` and the snapshot frames.
+//! `repro --json` and the atlas frames (they carry build timings too).
 //!
 //! The digests were recorded on `x86_64-unknown-linux-gnu`. Bodies are
 //! pure functions of their configuration, but the geography tree's
@@ -29,7 +34,8 @@ use std::collections::BTreeMap;
 
 use atlas_server::{ServerConfig, ServerHandle};
 use cuisine_atlas::pipeline::AtlasConfig;
-use recipedb::digest::Sha256;
+use cuisine_atlas::snapshot::{self, CorpusOrigin};
+use recipedb::digest::{corpus_digest, Sha256};
 use recipedb::generator::CorpusGenerator;
 use recipedb::store::RecipeDbBuilder;
 use recipedb::{io, Cuisine};
@@ -131,7 +137,36 @@ fn served_bodies_match_the_recorded_digests() {
     assert_eq!(server.build_count(), 3, "one build per configuration");
     server.shutdown();
 
-    // Keyed by "<method> <target>": the value is "<digest> <status>".
+    assert_matches_fixture(&actual, |status| status != "corpus");
+}
+
+#[test]
+fn generated_corpora_match_the_recorded_digests() {
+    let mut actual = Vec::new();
+    for (label, scale) in [("quick(23)", None), ("quick(23)@scale=0.08", Some(0.08))] {
+        let mut config = AtlasConfig::quick(SEED).corpus;
+        if let Some(scale) = scale {
+            config.scale = scale;
+        }
+        let db = CorpusGenerator::new(config).generate();
+        let json = io::to_json(&db).unwrap();
+        let frame = snapshot::encode_corpus(&db, CorpusOrigin::Generated, 0).unwrap();
+        for (what, digest) in [
+            ("to_json", Sha256::hex_digest(json.as_bytes())),
+            ("corpus_digest", corpus_digest(&db)),
+            ("encode_corpus", Sha256::hex_digest(&frame)),
+        ] {
+            actual.push(format!("{digest} corpus {what} {label}"));
+        }
+    }
+    assert_matches_fixture(&actual, |status| status == "corpus");
+}
+
+/// Compare `actual` fixture lines with the fixture lines whose second
+/// field passes `select`, keyed by everything after that field.
+fn assert_matches_fixture(actual: &[String], select: impl Fn(&str) -> bool) {
+    // Keyed by "<method> <target>" (or "<what> <config>"): the value is
+    // "<digest> <status>".
     let split = |l: &str| {
         let mut fields = l.splitn(3, ' ');
         let digest = fields.next().unwrap_or_default();
@@ -141,7 +176,11 @@ fn served_bodies_match_the_recorded_digests() {
             format!("{digest} {status}"),
         )
     };
-    let expected: BTreeMap<String, String> = FIXTURE.lines().map(split).collect();
+    let expected: BTreeMap<String, String> = FIXTURE
+        .lines()
+        .filter(|l| select(l.split(' ').nth(1).unwrap_or_default()))
+        .map(split)
+        .collect();
     let got: BTreeMap<String, String> = actual.iter().map(|l| split(l)).collect();
     let mut mismatches = Vec::new();
     for (request, want) in &expected {
@@ -162,7 +201,7 @@ fn served_bodies_match_the_recorded_digests() {
     }
     assert!(
         mismatches.is_empty(),
-        "{} served bodies differ from the golden digests:\n{}\n\nfull list:\n{}",
+        "{} digests differ from the golden fixture:\n{}\n\nfull list:\n{}",
         mismatches.len(),
         mismatches.join("\n"),
         actual.join("\n")
