@@ -362,13 +362,14 @@ impl CuisineAtlas {
         }
     }
 
-    /// Install what a snapshot stores beyond the patterns: the build's
-    /// timings and its authenticity distances, so the authenticity tree
-    /// needs no authenticity matrix (that is still built lazily, on the
-    /// first [`CuisineAtlas::authenticity_matrix`] call).
-    pub(crate) fn restore(&mut self, authenticity_dist: CondensedMatrix, timings: BuildTimings) {
+    /// Install what a snapshot stores beyond the patterns: the
+    /// authenticity distances, so the authenticity tree needs no
+    /// authenticity matrix (that is still built lazily, on the first
+    /// [`CuisineAtlas::authenticity_matrix`] call). A restored atlas's
+    /// timings stay zero: nothing reads them, since `/health` records
+    /// fresh builds only.
+    pub(crate) fn restore(&mut self, authenticity_dist: CondensedMatrix) {
         let _ = self.caches.authenticity_dist.set(authenticity_dist);
-        self.timings = timings;
     }
 
     /// Force every cached distance matrix (three pattern metrics + the

@@ -19,11 +19,20 @@
 //! A corpus snapshot is the corpus JSON plus provenance. An atlas
 //! snapshot stores only what is costly to redo: the mined patterns and
 //! the authenticity distances (whose input, the cuisines × ingredients
-//! authenticity matrix, is megabytes), next to the config, the active
-//! cuisines and the build timings. [`decode_atlas`] regrows the rest —
-//! features, pattern distances, trees — with the build's own code, and
-//! the authenticity matrix is rebuilt lazily on first use. Two
-//! self-checks run beyond the checksum:
+//! authenticity matrix, is megabytes), next to the config and the active
+//! cuisines. It holds no timings, so a frame is a pure function of its
+//! atlas. [`decode_atlas`] regrows the rest — features, pattern
+//! distances, trees — with the build's own code, and the authenticity
+//! matrix is rebuilt lazily on first use.
+//!
+//! The server stores only what it cannot regrow: uploaded corpora and
+//! their atlases. A generated corpus is a pure function of its
+//! [`GeneratorConfig`], and generating it is cheaper than decoding its
+//! corpus frame, so generated atlases are rebuilt, never stored
+//! (DESIGN.md §10). [`encode_corpus`] and [`CorpusOrigin::Generated`]
+//! remain for tools that frame a generated corpus themselves.
+//!
+//! Two self-checks run beyond the checksum:
 //!
 //! * an atlas snapshot records the corpus digest it was built from, and
 //!   [`decode_atlas`] refuses to marry it to a different corpus;
@@ -44,14 +53,14 @@ use recipedb::generator::GeneratorConfig;
 use recipedb::{Cuisine, RecipeDb};
 
 use crate::patterns::CuisinePatterns;
-use crate::pipeline::{AtlasConfig, BuildTimings, CuisineAtlas};
+use crate::pipeline::{AtlasConfig, CuisineAtlas};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"CUISSNAP";
 
 /// Layout version of atlas frames; bumped whenever a stored stage's
 /// output or its layout changes.
-pub const ATLAS_VERSION: u32 = 2;
+pub const ATLAS_VERSION: u32 = 3;
 
 /// Layout version of corpus frames; moves independently of
 /// [`ATLAS_VERSION`], so stored uploads outlive atlas layout changes.
@@ -394,7 +403,7 @@ pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {
     let mut w = Writer::frame(SnapshotKind::Atlas);
     w.str(corpus_digest);
 
-    // Config: every generator knob plus the pipeline knobs that shape
+    // Config: the generator inputs plus the pipeline knobs that shape
     // results — enough to re-derive the cache key this snapshot answers
     // for. `build_threads` is the restoring server's, so it is not
     // stored.
@@ -403,12 +412,6 @@ pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {
     w.u64(g.seed);
     w.f64(g.scale);
     w.u64(g.min_recipes_per_cuisine as u64);
-    w.f64(g.utensil_presence);
-    w.u64(g.target_unique_ingredients as u64);
-    w.f64(g.mean_ingredients);
-    w.f64(g.mean_processes);
-    w.f64(g.mean_utensils);
-    w.u64(g.regional_draws as u64);
     w.f64(cfg.min_support);
     w.f64(cfg.generic_fraction);
     w.u64(cfg.top_k as u64);
@@ -438,13 +441,6 @@ pub fn encode_atlas(atlas: &CuisineAtlas, corpus_digest: &str) -> Vec<u8> {
     w.u64(authenticity.distances.len() as u64);
     w.f64s(authenticity.distances.data());
 
-    // Build timings (provenance of the build that wrote the file).
-    let t = atlas.timings();
-    w.f64(t.generate_ms);
-    w.f64(t.mine_ms);
-    w.f64(t.features_ms);
-    w.f64(t.pdist_ms);
-
     // Newick serializations, the decode-time self-check.
     for tree in newick_trees(atlas) {
         w.str(&tree);
@@ -471,8 +467,10 @@ fn newick_trees(atlas: &CuisineAtlas) -> [String; 4] {
 }
 
 /// Read only an atlas snapshot's corpus reference (after full frame
-/// validation), so the store can locate the corpus before committing to
-/// the full decode.
+/// validation). The store's boot scan indexes each atlas file under the
+/// corpus it references with this, so deleting a corpus finds its
+/// atlases and the disk budget never evicts a corpus a stored atlas
+/// still needs.
 pub fn peek_atlas(bytes: &[u8]) -> Result<AtlasPeek, SnapshotError> {
     let mut r = Reader::open(bytes, SnapshotKind::Atlas)?;
     Ok(AtlasPeek {
@@ -511,12 +509,6 @@ pub fn decode_atlas(
             seed: r.u64()?,
             scale: r.f64()?,
             min_recipes_per_cuisine: r.u64()? as usize,
-            utensil_presence: r.f64()?,
-            target_unique_ingredients: r.u64()? as usize,
-            mean_ingredients: r.f64()?,
-            mean_processes: r.f64()?,
-            mean_utensils: r.f64()?,
-            regional_draws: r.u64()? as usize,
         },
         min_support: r.f64()?,
         generic_fraction: r.f64()?,
@@ -585,12 +577,6 @@ pub fn decode_atlas(
     }
     let authenticity_dist = CondensedMatrix::from_condensed(n, data);
 
-    let timings = BuildTimings {
-        generate_ms: r.f64()?,
-        mine_ms: r.f64()?,
-        features_ms: r.f64()?,
-        pdist_ms: r.f64()?,
-    };
     let stored_newick = [
         r.str("newick")?,
         r.str("newick")?,
@@ -600,7 +586,7 @@ pub fn decode_atlas(
     r.finish()?;
 
     let mut atlas = CuisineAtlas::from_patterns(db, cuisines, &config, patterns);
-    atlas.restore(authenticity_dist, timings);
+    atlas.restore(authenticity_dist);
 
     // Self-check: the trees grown from the regrown features, the pattern
     // distances they fill the caches with, and the stored authenticity
@@ -789,7 +775,6 @@ mod tests {
         assert_eq!(ma.cuisines, mb.cuisines);
         assert_eq!(ma.items, mb.items);
         assert_eq!(row_bits(&ma.relative), row_bits(&mb.relative));
-        assert_eq!(a.timings(), b.timings());
         // The wall-clock knob is replaced by the caller's.
         assert_eq!(b.config().build_threads, 2);
     }

@@ -12,7 +12,7 @@
 //!    no utensil information, so presence ≈ 0.8763).
 //! 2. Fire each **motif** of `c` independently with its target support;
 //!    motifs containing utensils fire only in utensil-bearing recipes,
-//!    with probability scaled by `1 / utensil_presence` so the
+//!    with probability scaled by `1 / UTENSIL_PRESENCE` so the
 //!    unconditional support still hits the target. A fired motif then
 //!    fires each **child** with probability `child.support /
 //!    parent.support` (children encode the paper's nested Table I rows).
@@ -31,6 +31,12 @@
 //! Everything is driven by a single master seed; each cuisine gets an
 //! independent deterministic stream, so corpora are reproducible and
 //! per-cuisine output does not depend on generation order.
+//!
+//! The size targets, utensil presence, regional draws and the ingredient
+//! universe are module constants, so a corpus is a pure function of the
+//! three [`GeneratorConfig`] fields: seed, scale and per-cuisine floor.
+//! That is why the server regrows a generated corpus instead of storing
+//! it: generating one is cheaper than reading its snapshot back.
 
 pub mod pools;
 pub mod spec;
@@ -51,7 +57,19 @@ pub use spec::{all_specs, cuisine_spec, CuisineSpec, MotifSpec, StapleSpec};
 /// `1 − 14,601 / 118,071`.
 pub const UTENSIL_PRESENCE: f64 = 1.0 - 14_601.0 / 118_071.0;
 
-/// Configuration of the synthetic corpus generator.
+/// Mean ingredients per recipe.
+const MEAN_INGREDIENTS: f64 = 10.0;
+/// Mean processes per recipe.
+const MEAN_PROCESSES: f64 = 12.0;
+/// Mean utensils per utensil-bearing recipe.
+const MEAN_UTENSILS: f64 = 3.0;
+/// Regional-pool ingredient draws per recipe.
+const REGIONAL_DRAWS: usize = 2;
+
+/// Configuration of the synthetic corpus generator: the three inputs a
+/// generated corpus is a pure function of. Everything else the model
+/// draws from (per-recipe size targets, utensil presence, the
+/// ingredient universe) is a module constant calibrated to the paper.
 #[derive(Debug, Clone)]
 pub struct GeneratorConfig {
     /// Master RNG seed; every derived stream is a pure function of it.
@@ -62,18 +80,6 @@ pub struct GeneratorConfig {
     /// Per-cuisine floor so tiny scales still produce usable supports
     /// (Korean has only 668 recipes at full scale).
     pub min_recipes_per_cuisine: usize,
-    /// Probability that a recipe carries utensil information.
-    pub utensil_presence: f64,
-    /// Size of the ingredient name universe (signature + pool + tail).
-    pub target_unique_ingredients: usize,
-    /// Mean ingredients per recipe.
-    pub mean_ingredients: f64,
-    /// Mean processes per recipe.
-    pub mean_processes: f64,
-    /// Mean utensils per utensil-bearing recipe.
-    pub mean_utensils: f64,
-    /// Regional-pool ingredient draws per recipe.
-    pub regional_draws: usize,
 }
 
 impl GeneratorConfig {
@@ -84,12 +90,6 @@ impl GeneratorConfig {
             seed: 0xC0FFEE,
             scale,
             min_recipes_per_cuisine: 40,
-            utensil_presence: UTENSIL_PRESENCE,
-            target_unique_ingredients: pools::TARGET_UNIQUE_INGREDIENTS,
-            mean_ingredients: 10.0,
-            mean_processes: 12.0,
-            mean_utensils: 3.0,
-            regional_draws: 2,
         }
     }
 
@@ -194,7 +194,7 @@ impl CorpusGenerator {
         // which recipes end up using them.
         let compiled: Vec<CompiledCuisine> = specs
             .iter()
-            .map(|s| compile_cuisine(s, cfg, builder.catalog_mut()))
+            .map(|s| compile_cuisine(s, builder.catalog_mut()))
             .collect();
 
         // Long-tail names: enough to reach the target unique-ingredient
@@ -210,9 +210,8 @@ impl CorpusGenerator {
                     .flat_map(|p| pools::regional_pool(p).iter().copied()),
             )
             .collect();
-        let tail_count = cfg
-            .target_unique_ingredients
-            .saturating_sub(builder.catalog().ingredient_count());
+        let tail_count =
+            pools::TARGET_UNIQUE_INGREDIENTS.saturating_sub(builder.catalog().ingredient_count());
         let tail_names = pools::tail_ingredient_names(tail_count, &real_names);
         let tail_ids: Vec<IngredientId> = tail_names
             .iter()
@@ -300,7 +299,6 @@ fn compile_item(kind: ItemKind, name: &str, catalog: &mut Catalog) -> CompiledIt
 fn compile_motif(
     m: &MotifSpec,
     parent_support: Option<f64>,
-    utensil_presence: f64,
     catalog: &mut Catalog,
 ) -> CompiledMotif {
     let mut ingredients = Vec::new();
@@ -323,12 +321,12 @@ fn compile_motif(
         None => m.support,
     };
     if requires_utensils && parent_support.is_none() {
-        prob /= utensil_presence;
+        prob /= UTENSIL_PRESENCE;
     }
     let children = m
         .children
         .iter()
-        .map(|c| compile_motif(c, Some(m.support), utensil_presence, catalog))
+        .map(|c| compile_motif(c, Some(m.support), catalog))
         .collect();
     CompiledMotif {
         ingredients,
@@ -340,15 +338,11 @@ fn compile_motif(
     }
 }
 
-fn compile_cuisine(
-    s: &CuisineSpec,
-    cfg: &GeneratorConfig,
-    catalog: &mut Catalog,
-) -> CompiledCuisine {
+fn compile_cuisine(s: &CuisineSpec, catalog: &mut Catalog) -> CompiledCuisine {
     let motifs: Vec<CompiledMotif> = s
         .motifs
         .iter()
-        .map(|m| compile_motif(m, None, cfg.utensil_presence, catalog))
+        .map(|m| compile_motif(m, None, catalog))
         .collect();
 
     // Items claimed by motifs: their staples are dropped (see module docs).
@@ -362,7 +356,7 @@ fn compile_cuisine(
         .map(|st| {
             let item = compile_item(st.kind, st.name, catalog);
             let prob = match st.kind {
-                ItemKind::Utensil => (st.prob / cfg.utensil_presence).min(1.0),
+                ItemKind::Utensil => (st.prob / UTENSIL_PRESENCE).min(1.0),
                 _ => st.prob,
             };
             CompiledStaple { item, prob }
@@ -423,7 +417,6 @@ fn cuisine_batch(
     for _ in 0..n {
         generate_recipe(
             cc,
-            cfg,
             tail_ids,
             process_fill,
             utensil_fill,
@@ -470,7 +463,6 @@ fn fire_motif(m: &CompiledMotif, has_utensils: bool, out: &mut RecipeItems, rng:
 /// out unsorted and may repeat an item.
 fn generate_recipe(
     cc: &CompiledCuisine,
-    cfg: &GeneratorConfig,
     tail_ids: &[IngredientId],
     process_ids: &[ProcessId],
     utensil_ids: &[UtensilId],
@@ -480,7 +472,7 @@ fn generate_recipe(
     out.0.clear();
     out.1.clear();
     out.2.clear();
-    let has_utensils = rng.gen_bool(cfg.utensil_presence);
+    let has_utensils = rng.gen_bool(UTENSIL_PRESENCE);
 
     for motif in &cc.motifs {
         fire_motif(motif, has_utensils, out, rng);
@@ -508,23 +500,23 @@ fn generate_recipe(
 
     // Regional flavour draws (below mining threshold by construction).
     if !cc.regional.is_empty() {
-        for _ in 0..cfg.regional_draws {
+        for _ in 0..REGIONAL_DRAWS {
             let idx = rng.gen_range(0..cc.regional.len());
             out.0.push(cc.regional[idx]);
         }
     }
 
     // Top up to per-recipe size targets from the uniform long tails.
-    let ing_target = sample_count(rng, cfg.mean_ingredients, 2.0, 3, 24);
+    let ing_target = sample_count(rng, MEAN_INGREDIENTS, 2.0, 3, 24);
     while out.0.len() < ing_target && !tail_ids.is_empty() {
         out.0.push(tail_ids[rng.gen_range(0..tail_ids.len())]);
     }
-    let proc_target = sample_count(rng, cfg.mean_processes, 2.5, 4, 30);
+    let proc_target = sample_count(rng, MEAN_PROCESSES, 2.5, 4, 30);
     while out.1.len() < proc_target && !process_ids.is_empty() {
         out.1.push(process_ids[rng.gen_range(0..process_ids.len())]);
     }
     if has_utensils {
-        let ute_target = sample_count(rng, cfg.mean_utensils, 1.0, 1, 8);
+        let ute_target = sample_count(rng, MEAN_UTENSILS, 1.0, 1, 8);
         while out.2.len() < ute_target && !utensil_ids.is_empty() {
             out.2.push(utensil_ids[rng.gen_range(0..utensil_ids.len())]);
         }

@@ -127,9 +127,9 @@ impl AppState {
     /// Re-register uploaded corpora persisted in the store, so digests
     /// handed out before a restart keep working. Oldest first, so the
     /// most recently persisted corpora win the registry's LRU cap when
-    /// there are more snapshots than slots. Generated corpora stay
-    /// disk-only — they are re-derivable from any atlas config and were
-    /// never addressable by digest.
+    /// there are more snapshots than slots. Generated corpus files, which
+    /// older builds wrote, are skipped: a generated atlas is rebuilt from
+    /// its config, never restored, and was never addressable by digest.
     fn restore_corpora(&self) {
         let Some(store) = &self.store else { return };
         let mut stored: Vec<_> = store
@@ -296,9 +296,12 @@ impl AppState {
     /// The atlas for `config` over an explicit corpus (`None` = the
     /// synthetic generator) — cached, or built once even under
     /// concurrent identical requests. Uploaded and generated corpora
-    /// share one cache; their keys differ by corpus digest. The
-    /// server's `build_threads` setting overrides the config's: thread
-    /// count never changes the built atlas (see
+    /// share one cache; their keys differ by corpus digest. Only an
+    /// upload's atlas is restored from, written through to and spilled
+    /// to the snapshot store: a generated atlas regrows from its config
+    /// faster than its corpus frame decodes, so its key never touches
+    /// the store. The server's `build_threads` setting overrides the
+    /// config's: thread count never changes the built atlas (see
     /// `cuisine_atlas::pipeline`), only its wall-clock cost, so it is
     /// deliberately not part of the cache key.
     pub fn atlas_for(
@@ -314,13 +317,15 @@ impl AppState {
             &key,
             || self.metrics.record_cache_miss(),
             || {
-                // Tier 2: a disk snapshot. A restore touches none of
-                // the build counters — that absence is the warm-restart
-                // acceptance signal (`builds == 0` after a restart).
-                if let Some(restored) = self.try_restore(&key, corpus) {
+                // Tier 2: an upload's disk snapshot. A restore touches
+                // none of the build counters — that absence is the
+                // warm-restart acceptance signal (`builds == 0` after a
+                // restart).
+                if let Some(restored) = corpus.and_then(|info| self.try_restore(&key, info)) {
                     return restored;
                 }
-                // Tier 3: a cold build, written through to the store.
+                // Tier 3: a cold build, an upload's written through to
+                // the store.
                 self.metrics.record_build();
                 self.metrics.record_build_for_corpus(&match corpus {
                     Some(info) => corpus_label(&info.digest),
@@ -350,61 +355,32 @@ impl AppState {
             Lookup::Waited => self.metrics.record_dedup(),
             Lookup::Built => {}
         }
-        // Spill LRU evictions to disk so a hot cache can shrink without
-        // losing work (a no-op for snapshots already written through).
+        // Spill LRU evictions of upload atlases to disk so a hot cache
+        // can shrink without losing work (a no-op for snapshots already
+        // written through).
         for (old_key, old_atlas) in evicted {
             self.persist_snapshot(&old_key, &old_atlas);
         }
         atlas
     }
 
-    /// Try to satisfy a cache miss from a disk snapshot. Damaged files
-    /// are quarantined and `None` falls back to a cold build — a
-    /// corrupt store degrades to rebuild cost, never to an error
-    /// response.
-    fn try_restore(
-        &self,
-        key: &CacheKey,
-        corpus: Option<&Arc<CorpusInfo>>,
-    ) -> Option<CuisineAtlas> {
+    /// Try to satisfy a cache miss over an uploaded corpus from its
+    /// atlas snapshot. Damaged files are quarantined and `None` falls
+    /// back to a cold build — a corrupt store degrades to rebuild cost,
+    /// never to an error response.
+    fn try_restore(&self, key: &CacheKey, info: &CorpusInfo) -> Option<CuisineAtlas> {
         let store = self.store.as_ref()?;
         let store_id = key.store_id();
         let bytes = self.spanned("store/probe", || store.load_atlas(&store_id))?;
-        // Resolve the corpus the snapshot must be married to: the
-        // registered upload, or (for generator-backed atlases) the
-        // corpus snapshot the atlas references.
-        let (db, digest) = match corpus {
-            Some(info) => (Arc::clone(&info.db), info.digest.clone()),
-            None => {
-                let digest = match snapshot::peek_atlas(&bytes) {
-                    Ok(peek) => peek.corpus_digest,
-                    Err(e) => {
-                        // Only damaged content is quarantined; a frame
-                        // from a different build is left in place for a
-                        // rollback to that build, and treated as a miss.
-                        if e.is_corruption() {
-                            store.quarantine_atlas(&store_id);
-                        }
-                        return None;
-                    }
-                };
-                let corpus_bytes = store.load_corpus(&digest)?;
-                match snapshot::decode_corpus(&corpus_bytes) {
-                    Ok(snap) => (Arc::new(snap.db), digest),
-                    Err(e) => {
-                        if e.is_corruption() {
-                            store.quarantine_corpus(&digest);
-                        }
-                        return None;
-                    }
-                }
-            }
-        };
+        let db = Arc::clone(&info.db);
         match self.spanned("store/load", || {
-            snapshot::decode_atlas(&bytes, db, &digest, self.build_threads)
+            snapshot::decode_atlas(&bytes, db, &info.digest, self.build_threads)
         }) {
             Ok(atlas) => Some(atlas),
             Err(e) => {
+                // Only damaged content is quarantined; a frame from a
+                // different build is left in place for a rollback to
+                // that build, and treated as a miss.
                 if e.is_corruption() {
                     store.quarantine_atlas(&store_id);
                 }
@@ -413,44 +389,30 @@ impl AppState {
         }
     }
 
-    /// Persist a built atlas. A generated corpus is persisted first
-    /// when missing, so no stored atlas references a corpus the store
-    /// has no chance of holding. An upload's corpus file is written only
-    /// by the upload itself, and its atlas is persisted only while that
-    /// file is stored, so a purge during the build is not undone.
-    /// Best-effort: a failed disk write never fails the request that
-    /// triggered it.
+    /// Persist an upload's built atlas; a generated atlas is never
+    /// stored. An upload's corpus file is written only by the upload
+    /// itself, and its atlas is persisted only while that file is
+    /// stored, so a purge during the build is not undone. Best-effort:
+    /// a failed disk write never fails the request that triggered it.
     fn persist_snapshot(&self, key: &CacheKey, atlas: &CuisineAtlas) {
-        let Some(store) = &self.store else { return };
-        let digest = match key.corpus_digest() {
-            Some(d) if store.contains_corpus(d) => d.to_string(),
-            Some(_) => return,
-            None => {
-                let digest = recipedb::corpus_digest(atlas.db());
-                if !store.contains_corpus(&digest) {
-                    let origin = CorpusOrigin::Generated;
-                    let Ok(bytes) = snapshot::encode_corpus(atlas.db(), origin, 0) else {
-                        return;
-                    };
-                    let _ = self.spanned("store/persist", || {
-                        store.persist_corpus(&digest, origin, &bytes)
-                    });
-                }
-                digest
-            }
+        let (Some(store), Some(digest)) = (&self.store, key.corpus_digest()) else {
+            return;
         };
+        if !store.contains_corpus(digest) {
+            return;
+        }
         let store_id = key.store_id();
         if store.contains_atlas(&store_id) {
             return;
         }
-        let bytes = snapshot::encode_atlas(atlas, &digest);
+        let bytes = snapshot::encode_atlas(atlas, digest);
         let _ = self.spanned("store/persist", || {
-            store.persist_atlas(&store_id, &digest, &bytes)
+            store.persist_atlas(&store_id, digest, &bytes)
         });
         // A purge that removed the upload while this atlas was written
         // wins: it removed the corpus file before the atlas files.
-        if key.corpus_digest().is_some() && !store.contains_corpus(&digest) {
-            store.remove_atlases_for_corpus(&digest);
+        if !store.contains_corpus(digest) {
+            store.remove_atlases_for_corpus(digest);
         }
     }
 

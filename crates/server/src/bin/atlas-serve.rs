@@ -12,9 +12,11 @@
 //! `--prewarm` warms the cache before accepting connections; each spec
 //! is either a generator seed (`--prewarm 23,24`) or `corpus=<digest>`
 //! naming an uploaded corpus restored from the data dir. With
-//! `--data-dir` the server persists every built atlas and uploaded
-//! corpus as checksummed snapshots and restores them on restart, so a
-//! warm restart serves its first queries from disk with zero rebuilds;
+//! `--data-dir` the server persists every uploaded corpus and the
+//! atlases built over it as checksummed snapshots and restores them on
+//! restart, so a warm restart serves an upload's first queries from
+//! disk with zero rebuilds; generated atlases are rebuilt instead (a
+//! build is faster than a restore of their corpus), and write nothing;
 //! `--max-disk-bytes` bounds the store (LRU eviction, 0 = unbounded)
 //! and `--no-persist` serves warm reads without writing anything new.
 //! `--corpus-ttl-secs` expires uploaded corpora (memory and disk) that

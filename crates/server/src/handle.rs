@@ -473,9 +473,11 @@ fn write_access_log(
 /// an uploaded corpus restored from the snapshot store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrewarmSpec {
-    /// Warm the quick synthetic atlas for this seed.
+    /// Warm the quick synthetic atlas for this seed. Always a build:
+    /// generated atlases are never stored, even with a data dir.
     Seed(u64),
-    /// Warm the default-config atlas over a registered corpus digest.
+    /// Warm the default-config atlas over a registered corpus digest,
+    /// restored from its stored atlas when there is one.
     Corpus(String),
 }
 

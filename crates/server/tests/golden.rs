@@ -14,15 +14,19 @@
 //! - the same artifacts over a six-cuisine subset of that corpus, and
 //!   its `POST /corpus` response (`{upload}` in a target stands for the
 //!   digest the upload returns);
-//! - `/cuisines` and one `/batch` body.
+//! - `/cuisines` and one `/batch` body;
+//! - the `snapshot::encode_atlas` frames of `quick(23)` under `average`
+//!   and of the subset under `average` and `complete`. A frame holds no
+//!   timings, so it is a pure function of its atlas. Their lines read
+//!   `<digest> atlas encode_atlas <corpus> <linkage>`.
 //!
 //! A second test pins the generated corpora themselves, for `quick(23)`
 //! and for seed 23 at scale 0.08: the `io::to_json` bytes, the
 //! `corpus_digest` and the `snapshot::encode_corpus` frame. Their
 //! fixture lines read `<digest> corpus <what> <config>`.
 //!
-//! Not covered: `/health` and `/metrics` (they carry timings),
-//! `repro --json` and the atlas frames (they carry build timings too).
+//! Not covered: `/health` and `/metrics` (they carry timings).
+//! `repro --json` is pinned by `repro_cli.rs`.
 //!
 //! The digests were recorded on `x86_64-unknown-linux-gnu`. Bodies are
 //! pure functions of their configuration, but the geography tree's
@@ -33,6 +37,7 @@
 use std::collections::BTreeMap;
 
 use atlas_server::{ServerConfig, ServerHandle};
+use clustering::hac::LinkageMethod;
 use cuisine_atlas::pipeline::AtlasConfig;
 use cuisine_atlas::snapshot::{self, CorpusOrigin};
 use recipedb::digest::{corpus_digest, Sha256};
@@ -135,6 +140,33 @@ fn served_bodies_match_the_recorded_digests() {
         actual.push(line("GET", &target, status, &body));
     }
     assert_eq!(server.build_count(), 3, "one build per configuration");
+
+    // Atlas frames, from the cached builds above plus the subset under
+    // `complete`.
+    let state = server.state();
+    let upload = state
+        .corpora()
+        .get(digest)
+        .expect("the upload is registered");
+    for (label, corpus, linkage) in [
+        ("quick(23)", None, LinkageMethod::Average),
+        ("upload", Some(&upload), LinkageMethod::Average),
+        ("upload", Some(&upload), LinkageMethod::Complete),
+    ] {
+        let config = AtlasConfig::quick(SEED).with_linkage(linkage);
+        let atlas = state.atlas_for(corpus, &config);
+        let frame = snapshot::encode_atlas(&atlas, &corpus_digest(atlas.db()));
+        actual.push(format!(
+            "{} atlas encode_atlas {label} {}",
+            Sha256::hex_digest(&frame),
+            linkage.name()
+        ));
+    }
+    assert_eq!(
+        server.build_count(),
+        4,
+        "only the subset under complete is new"
+    );
     server.shutdown();
 
     assert_matches_fixture(&actual, |status| status != "corpus");

@@ -2,14 +2,16 @@
 //!
 //! The core correctness pin: a server restarted onto the same
 //! `--data-dir` serves **byte-identical** bodies on every atlas-backed
-//! endpoint — for the implicit synthetic corpus *and* an uploaded one —
-//! with **zero rebuilds**, verified through the public `/metrics` and
-//! `/health` surfaces. Plus: corrupted snapshots degrade to a rebuild
-//! (never an error response) with the corruption counted, an atlas file
-//! of another layout version is rebuilt without being counted, torn `.tmp`
-//! files are swept at boot, `DELETE /corpus/{digest}` removes memory
-//! and disk together, `--corpus-ttl-secs` expires uploads, and
-//! `--prewarm corpus=<digest>` warms a restored corpus from disk.
+//! endpoint. An uploaded corpus's atlases come back with **zero
+//! rebuilds**; the implicit synthetic corpus's atlases are rebuilt, one
+//! build per key, and never touch the store. Both are verified through
+//! the public `/metrics` and `/health` surfaces. Plus: corrupted
+//! snapshots degrade to a rebuild (never an error response) with the
+//! corruption counted, an atlas file of another layout version is
+//! rebuilt without being counted, torn `.tmp` files are swept at boot,
+//! `DELETE /corpus/{digest}` removes memory and disk together,
+//! `--corpus-ttl-secs` expires uploads, and `--prewarm corpus=<digest>`
+//! warms a restored corpus from disk.
 //!
 //! Set `ATLAS_TEST_THREADS` to vary the parallel side (default 4); CI
 //! runs this under 2 and 8 threads.
@@ -146,8 +148,9 @@ fn files_with_ext(root: &std::path::Path, ext: &str) -> Vec<PathBuf> {
 }
 
 /// The warm-restart differential: a second server on the same data dir
-/// serves the same bytes as the first — implicit and uploaded corpus
-/// alike — without building anything, at build_threads 1 and N.
+/// serves the same bytes as the first, at build_threads 1 and N. The
+/// uploaded corpus's atlas comes from disk without building anything;
+/// the implicit corpus's atlas is rebuilt once.
 #[test]
 fn warm_restart_serves_identical_bytes_with_zero_rebuilds() {
     let corpus_json = synthetic_corpus_json();
@@ -158,17 +161,19 @@ fn warm_restart_serves_identical_bytes_with_zero_rebuilds() {
             ..persistent_config(&scratch)
         });
         let digest = upload(&cold, &corpus_json);
-        let mut expected = Vec::new();
+        let mut uploaded = Vec::new();
+        let mut implicit = Vec::new();
         for path in atlas_endpoints() {
-            expected.push((path.clone(), get_ok(&cold, &path)));
+            implicit.push((path.clone(), get_ok(&cold, &path)));
             let corpus_path = format!("{path}&corpus={digest}");
-            expected.push((corpus_path.clone(), get_ok(&cold, &corpus_path)));
+            uploaded.push((corpus_path.clone(), get_ok(&cold, &corpus_path)));
         }
         assert_eq!(cold.build_count(), 2, "one cold build per corpus variant");
         let health = health_json(&cold);
-        assert!(
-            health["store"]["snapshot_writes"].as_f64().unwrap() >= 3.0,
-            "two atlases + one corpus written through: {health}"
+        assert_eq!(
+            health["store"]["snapshot_writes"].as_f64(),
+            Some(2.0),
+            "the upload and its atlas written through, nothing generated: {health}"
         );
         cold.shutdown();
 
@@ -176,18 +181,21 @@ fn warm_restart_serves_identical_bytes_with_zero_rebuilds() {
             build_threads,
             ..persistent_config(&scratch)
         });
-        for (path, body) in &expected {
-            assert_eq!(
-                &get_ok(&warm, path),
-                body,
-                "GET {path}: warm restart must serve the cold server's bytes \
-                 (build_threads={build_threads})"
-            );
-        }
+        let serves_cold_bytes = |expected: &[(String, Vec<u8>)]| {
+            for (path, body) in expected {
+                assert_eq!(
+                    &get_ok(&warm, path),
+                    body,
+                    "GET {path}: warm restart must serve the cold server's bytes \
+                     (build_threads={build_threads})"
+                );
+            }
+        };
+        serves_cold_bytes(&uploaded);
         assert_eq!(
             warm.build_count(),
             0,
-            "a warm restart serves everything from disk"
+            "a warm restart serves the upload from disk"
         );
         let metrics = metrics_text(&warm);
         let builds_line = metrics
@@ -200,9 +208,16 @@ fn warm_restart_serves_identical_bytes_with_zero_rebuilds() {
         );
         let health = health_json(&warm);
         assert_eq!(health["builds"].as_f64(), Some(0.0), "{health}");
-        assert!(
-            health["store"]["snapshot_hits"].as_f64().unwrap() >= 2.0,
-            "both atlases came from disk: {health}"
+        assert_eq!(
+            health["store"]["snapshot_hits"].as_f64(),
+            Some(2.0),
+            "the upload's corpus and atlas came from disk: {health}"
+        );
+        serves_cold_bytes(&implicit);
+        assert_eq!(
+            warm.build_count(),
+            1,
+            "the generated atlas is rebuilt once, not restored"
         );
         // The uploaded corpus survived the restart into the registry.
         let corpora = health["corpora"].as_array().unwrap();
@@ -219,7 +234,8 @@ fn warm_restart_serves_identical_bytes_with_zero_rebuilds() {
 fn corrupted_snapshot_falls_back_to_rebuild() {
     let scratch = Scratch::new("corrupt");
     let cold = start(persistent_config(&scratch));
-    let path = format!("/table1?seed={SEED}");
+    let digest = upload(&cold, &synthetic_corpus_json());
+    let path = format!("/table1?corpus={digest}");
     let body = get_ok(&cold, &path);
     assert_eq!(cold.build_count(), 1);
     cold.shutdown();
@@ -274,15 +290,17 @@ fn atlas_of_another_version_is_rebuilt_and_overwritten() {
     let body = get_ok(&cold, &path);
     cold.shutdown();
 
-    // Re-frame the stored atlas with the previous version: patch the
-    // version field and reseal the SHA-256 trailer, so the frame is
-    // sound but not one this build reads.
+    // Re-frame the stored atlas as version 2, the layout that still
+    // carried build timings: patch the version field and reseal the
+    // SHA-256 trailer, so the frame is sound but not one this build
+    // reads.
     let atlases = files_with_ext(&scratch.0.join("atlases"), "atlas");
     assert_eq!(atlases.len(), 1, "{atlases:?}");
     let version_at = snapshot::MAGIC.len()..snapshot::MAGIC.len() + 4;
     let stored = std::fs::read(&atlases[0]).unwrap();
     let mut old = stored[..stored.len() - 32].to_vec();
-    old[version_at.clone()].copy_from_slice(&(snapshot::ATLAS_VERSION - 1).to_le_bytes());
+    assert_ne!(snapshot::ATLAS_VERSION, 2);
+    old[version_at.clone()].copy_from_slice(&2u32.to_le_bytes());
     let mut hasher = Sha256::new();
     hasher.update(&old);
     old.extend_from_slice(&hasher.finalize());
@@ -332,7 +350,8 @@ fn torn_tmp_files_are_swept_at_boot() {
 
     let server = start(persistent_config(&scratch));
     assert!(!torn.exists(), "boot must sweep torn tmp files");
-    get_ok(&server, &format!("/table1?seed={SEED}"));
+    let digest = upload(&server, &synthetic_corpus_json());
+    get_ok(&server, &format!("/table1?corpus={digest}"));
     assert_eq!(server.build_count(), 1, "nothing warm to restore");
     server.shutdown();
 }
@@ -500,7 +519,8 @@ fn health_reports_per_corpus_memory_and_disk_accounting() {
 fn read_only_store_serves_warm_reads_without_writing() {
     let scratch = Scratch::new("readonly");
     let cold = start(persistent_config(&scratch));
-    let path = format!("/table1?seed={SEED}");
+    let digest = upload(&cold, &synthetic_corpus_json());
+    let path = format!("/table1?corpus={digest}");
     let body = get_ok(&cold, &path);
     cold.shutdown();
 
@@ -511,7 +531,7 @@ fn read_only_store_serves_warm_reads_without_writing() {
     assert_eq!(get_ok(&frozen, &path), body, "warm reads still work");
     assert_eq!(frozen.build_count(), 0);
     // A brand-new atlas builds fine but is not written back.
-    get_ok(&frozen, &format!("/table1?seed={}", SEED + 1));
+    get_ok(&frozen, &format!("{path}&linkage=complete"));
     assert_eq!(frozen.build_count(), 1);
     let health = health_json(&frozen);
     assert_eq!(health["store"]["read_only"].as_bool(), Some(true));
@@ -527,8 +547,8 @@ fn read_only_store_serves_warm_reads_without_writing() {
 /// An upload is persisted as the bytes that were sent, not as a
 /// re-serialization: a pretty-printed body with a key the schema does
 /// not know restores after a restart under the same digest, serves the
-/// same bytes, and builds nothing. Corpus snapshots written by
-/// `encode_corpus` (the implicit synthetic corpus) restore alongside it.
+/// same bytes, and builds nothing. The implicit synthetic corpus beside
+/// it leaves no corpus file and is rebuilt after the restart.
 #[test]
 fn pretty_printed_upload_with_unknown_keys_survives_restart() {
     let db = CorpusGenerator::new(AtlasConfig::quick(SEED).corpus).generate();
@@ -555,7 +575,7 @@ fn pretty_printed_upload_with_unknown_keys_survives_restart() {
 
     // The uploaded corpus's snapshot carries the request body verbatim.
     let corpus_files = files_with_ext(&scratch.0, "corpus");
-    assert_eq!(corpus_files.len(), 2, "uploaded + implicit corpus");
+    assert_eq!(corpus_files.len(), 1, "the upload only");
     let framed = corpus_files
         .iter()
         .map(|p| std::fs::read(p).unwrap())
@@ -570,11 +590,68 @@ fn pretty_printed_upload_with_unknown_keys_survives_restart() {
     assert_eq!(corpora[0]["corpus"].as_str(), Some(digest.as_str()));
     for (path, body) in paths.iter().zip(&expected) {
         assert_eq!(&get_ok(&warm, path), body, "GET {path} after restart");
+        // The upload builds nothing; the implicit corpus is rebuilt once.
+        let implicit = !path.contains("corpus=");
+        assert_eq!(warm.build_count(), usize::from(implicit), "GET {path}");
     }
     let metrics = metrics_text(&warm);
     assert!(
-        metrics.lines().any(|l| l == "atlas_builds_total 0"),
-        "a warm restart builds nothing"
+        metrics.lines().any(|l| l == "atlas_builds_total 1"),
+        "/metrics agrees: one rebuild, for the implicit corpus"
     );
     warm.shutdown();
+}
+
+/// A generated atlas never touches the store: with a data dir, generated
+/// requests write no corpus or atlas file and make no store load, and
+/// after a restart they serve the same bytes from one rebuild per key.
+#[test]
+fn generated_atlases_are_rebuilt_not_stored() {
+    let scratch = Scratch::new("generated");
+    let paths = [
+        format!("/table1?seed={SEED}"),
+        format!("/tree/authenticity?seed={SEED}"),
+    ];
+    let store_counters = |server: &ServerHandle| {
+        let health = health_json(server);
+        let store = &health["store"];
+        [
+            "snapshot_hits",
+            "snapshot_misses",
+            "snapshot_writes",
+            "corpus_files",
+            "atlas_files",
+        ]
+        .map(|name| {
+            store[name]
+                .as_f64()
+                .unwrap_or_else(|| panic!("{name}: {health}"))
+        })
+    };
+    let mut expected = Vec::new();
+    for _ in 0..2 {
+        let server = start(persistent_config(&scratch));
+        let before = store_counters(&server);
+        let bodies: Vec<Vec<u8>> = paths.iter().map(|p| get_ok(&server, p)).collect();
+        assert_eq!(server.build_count(), 1, "one build per key");
+        assert_eq!(
+            store_counters(&server),
+            before,
+            "hits, misses, writes and files stay put"
+        );
+        assert_eq!(before, [0.0; 5]);
+        for dir in ["corpora", "atlases"] {
+            let files: Vec<_> = std::fs::read_dir(scratch.0.join(dir))
+                .into_iter()
+                .flatten()
+                .collect();
+            assert!(files.is_empty(), "{dir}/ holds {files:?}");
+        }
+        server.shutdown();
+        if expected.is_empty() {
+            expected = bodies;
+        } else {
+            assert_eq!(bodies, expected, "a restart serves the same bytes");
+        }
+    }
 }

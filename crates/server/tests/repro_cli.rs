@@ -1,8 +1,18 @@
 //! The `repro` command line: bad arguments are usage errors (non-zero
 //! exit, no panic, nothing built or written), and small runs succeed in
 //! text and JSON mode.
+//!
+//! The `--json` run is also pinned across commits: each artifact
+//! document and `all` is hashed as printed and compared with
+//! `fixtures/repro_json_digests.txt` (`<sha256> <experiment>`). A change
+//! that alters them on purpose re-records the list from this test's
+//! failure output and says why.
 
 use std::process::{Command, Output};
+
+use recipedb::digest::Sha256;
+
+const REPRO_JSON_FIXTURE: &str = include_str!("fixtures/repro_json_digests.txt");
 
 fn repro(dir: &std::path::Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -75,17 +85,18 @@ fn every_linkage_the_server_accepts_is_accepted() {
     assert!(stderr.contains("linkage median"), "{stderr}");
 }
 
-/// Split `--json` output into its pretty-printed documents: each one
-/// ends at a closing bracket in the first column.
-fn json_documents(stdout: &str) -> Vec<serde_json::Value> {
+/// Split `--json` output into its pretty-printed documents, each with
+/// its text as printed: each one ends at a closing bracket in the first
+/// column.
+fn json_documents(stdout: &str) -> Vec<(String, serde_json::Value)> {
     let mut docs = Vec::new();
     let mut current = String::new();
     for line in stdout.lines() {
         current.push_str(line);
         current.push('\n');
         if line == "}" || line == "]" {
-            docs.push(serde_json::from_str(&current).expect("each document parses"));
-            current.clear();
+            let doc = serde_json::from_str(&current).expect("each document parses");
+            docs.push((std::mem::take(&mut current), doc));
         }
     }
     assert!(current.trim().is_empty(), "trailing output: {current}");
@@ -106,10 +117,11 @@ fn json_documents_parse_and_all_holds_the_single_documents() {
     let docs = json_documents(&String::from_utf8(out.stdout).unwrap());
     // One document per experiment, then `all`, then the metrics snapshot.
     assert_eq!(docs.len(), experiments.len() + 2);
-    assert!(docs[experiments.len() + 1]["metrics"]["spans"]
+    assert!(docs[experiments.len() + 1].1["metrics"]["spans"]
         .as_object()
         .is_some());
     let all = docs[experiments.len()]
+        .1
         .as_object()
         .expect("all is an object");
     let keys: Vec<&str> = all.iter().map(|(k, _)| k.as_str()).collect();
@@ -119,8 +131,24 @@ fn json_documents_parse_and_all_holds_the_single_documents() {
     );
     for (key, member) in all.iter() {
         let i = experiments.iter().position(|e| e == key).unwrap();
-        assert_eq!(member, &docs[i], "all.{key} differs from --json {key}");
+        assert_eq!(member, &docs[i].1, "all.{key} differs from --json {key}");
     }
+
+    // The metrics document carries `_ms` timings; every other document
+    // is a pure function of the corpus and config.
+    let actual: Vec<String> = experiments
+        .iter()
+        .chain(&["all"])
+        .zip(&docs)
+        .map(|(name, (text, _))| format!("{} {name}", Sha256::hex_digest(text.as_bytes())))
+        .collect();
+    let expected: Vec<&str> = REPRO_JSON_FIXTURE.lines().collect();
+    assert_eq!(
+        actual,
+        expected,
+        "repro --json documents differ from fixtures/repro_json_digests.txt; full list:\n{}",
+        actual.join("\n")
+    );
 
     let out = repro(
         &std::env::temp_dir(),

@@ -11,6 +11,14 @@
 //! <root>/store.lock                   owner lock (while a writer is open)
 //! ```
 //!
+//! The server keeps here only what it cannot regrow: uploaded corpora
+//! and the atlases built over them. A generated corpus is a pure
+//! function of its seed, scale and per-cuisine floor, and rebuilding its
+//! atlas is cheaper than reading the corpus frame back, so generated
+//! atlases never reach the store. Generated corpus files written by
+//! older builds are no longer read; no atlas references them any more,
+//! so a disk budget evicts them like any unreferenced corpus.
+//!
 //! Files are **content-addressed**: a corpus file is named by its
 //! semantic [`corpus digest`](recipedb::digest::corpus_digest) and an
 //! atlas file by the server's cache-key id, so identical content lands
