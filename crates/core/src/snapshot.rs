@@ -875,7 +875,7 @@ mod tests {
         let digest = digest_of(a);
         // An upload body need not be `to_json`'s output: pretty-printed,
         // with a key the schema does not know.
-        let mut value = serde_json::to_value(a.db()).unwrap();
+        let mut value = serde_json::from_str(&recipedb::io::to_json(a.db()).unwrap()).unwrap();
         value["uploaded_by"] = serde_json::json!({"tool": "notebook", "rev": [1, 2]});
         let body = value.to_json_pretty();
         let bytes = frame_corpus_json(&digest, CorpusOrigin::Uploaded, 77, body.as_bytes());

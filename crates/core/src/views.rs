@@ -4,12 +4,13 @@
 //! endpoints and `repro --json` alike — goes through these types instead
 //! of hand-formatting, so the wire format is defined once. Views are
 //! plain data (`String` cuisine names, flat merge lists) rather than the
-//! internal id-heavy structures, and they round-trip through
-//! `serde_json`.
+//! internal id-heavy structures. Each writes its JSON text directly
+//! through `serde_json::Serialize`, its fields in declaration order;
+//! nothing reads a view back.
 
 use clustering::dendrogram::Node;
 use recipedb::Cuisine;
-use serde::{Deserialize, Serialize};
+use serde_json::impl_serialize;
 
 use crate::authenticity::AuthenticityMatrix;
 use crate::compare::{GeoAgreement, HistoricalClaims};
@@ -18,7 +19,7 @@ use crate::pipeline::{CuisineTree, Table1, Table1Row};
 /// One agglomerative merge, scipy `Z`-matrix semantics: `a` and `b` are
 /// node ids where ids `0..n_leaves` are leaves and `n_leaves + t` is the
 /// cluster created by merge `t`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MergeView {
     /// First merged node id.
     pub a: usize,
@@ -30,8 +31,10 @@ pub struct MergeView {
     pub size: usize,
 }
 
+impl_serialize!(MergeView { a, b, height, size });
+
 /// A cuisine dendrogram as Newick plus an explicit merge list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeView {
     /// What the tree was built from, e.g. `patterns/euclidean/average`.
     pub description: String,
@@ -46,6 +49,15 @@ pub struct TreeView {
     /// Height of the root merge.
     pub max_height: f64,
 }
+
+impl_serialize!(TreeView {
+    description,
+    n_leaves,
+    leaves,
+    newick,
+    merges,
+    max_height
+});
 
 impl TreeView {
     /// Project a [`CuisineTree`] to its wire form.
@@ -87,7 +99,7 @@ impl TreeView {
 }
 
 /// One significant pattern of a Table I row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternView {
     /// Canonical `a+b+c` pattern string (sorted item names).
     pub pattern: String,
@@ -97,8 +109,14 @@ pub struct PatternView {
     pub len: usize,
 }
 
+impl_serialize!(PatternView {
+    pattern,
+    support,
+    len
+});
+
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1RowView {
     /// Region name.
     pub cuisine: String,
@@ -110,14 +128,23 @@ pub struct Table1RowView {
     pub top_patterns: Vec<PatternView>,
 }
 
+impl_serialize!(Table1RowView {
+    cuisine,
+    n_recipes,
+    pattern_count,
+    top_patterns
+});
+
 /// The full Table I report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1View {
     /// Support threshold used for mining.
     pub min_support: f64,
     /// One row per cuisine, Table I order.
     pub rows: Vec<Table1RowView>,
 }
+
+impl_serialize!(Table1View { min_support, rows });
 
 impl Table1View {
     /// Project a [`Table1`] to its wire form.
@@ -149,7 +176,7 @@ impl Table1RowView {
 }
 
 /// One scored ingredient of an authenticity fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuthenticityEntry {
     /// Ingredient display name.
     pub item: String,
@@ -157,9 +184,11 @@ pub struct AuthenticityEntry {
     pub score: f64,
 }
 
+impl_serialize!(AuthenticityEntry { item, score });
+
 /// A cuisine's authenticity fingerprint, reduced to its extreme items
 /// (the full vector spans the whole ingredient universe).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FingerprintView {
     /// Region name.
     pub cuisine: String,
@@ -170,6 +199,13 @@ pub struct FingerprintView {
     /// Bottom-`k` least authentic (most borrowed) ingredients.
     pub least_authentic: Vec<AuthenticityEntry>,
 }
+
+impl_serialize!(FingerprintView {
+    cuisine,
+    n_items,
+    most_authentic,
+    least_authentic
+});
 
 impl FingerprintView {
     /// Project one cuisine's fingerprint, keeping `k` items per extreme.
@@ -209,7 +245,7 @@ impl FingerprintView {
 }
 
 /// The k-means elbow curve (Figure 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElbowView {
     /// Largest k evaluated.
     pub k_max: usize,
@@ -219,9 +255,11 @@ pub struct ElbowView {
     pub wcss: Vec<f64>,
 }
 
+impl_serialize!(ElbowView { k_max, seed, wcss });
+
 /// A tree's agreement with geography plus the paper's historical claims
 /// (Section VII).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgreementView {
     /// Description of the scored tree.
     pub tree: String,
@@ -236,6 +274,15 @@ pub struct AgreementView {
     /// Cophenetic evidence: (ca–fr, ca–us, in–nafr, in–thai, in–sea).
     pub evidence: [f64; 5],
 }
+
+impl_serialize!(AgreementView {
+    tree,
+    cophenetic_vs_geo,
+    bakers_gamma,
+    canada_closer_to_france_than_us,
+    india_closer_to_north_africa_than_neighbors,
+    evidence
+});
 
 impl AgreementView {
     /// Combine an agreement score and claims check into one wire record.
@@ -257,9 +304,39 @@ mod tests {
     use super::*;
     use crate::compare::{geo_agreement, historical_claims};
     use clustering::Metric;
+    use serde_json::Value;
 
     fn atlas() -> &'static crate::pipeline::CuisineAtlas {
         crate::testutil::shared_atlas()
+    }
+
+    /// A view as a client reads it: written, then parsed back to a tree.
+    fn parsed<T: serde_json::Serialize>(view: &T) -> Value {
+        serde_json::from_str(&serde_json::to_string(view).unwrap()).unwrap()
+    }
+
+    fn keys(v: &Value) -> Vec<&str> {
+        v.as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect()
+    }
+
+    fn strings(v: &Value) -> Vec<&str> {
+        v.as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect()
+    }
+
+    fn floats(v: &Value) -> Vec<f64> {
+        v.as_array()
+            .unwrap()
+            .iter()
+            .map(|x| x.as_f64().unwrap())
+            .collect()
     }
 
     #[test]
@@ -278,9 +355,32 @@ mod tests {
         }
         assert!((view.max_height - tree.dendrogram.max_height()).abs() < 1e-12);
 
-        let json = serde_json::to_string(&view).unwrap();
-        let back: TreeView = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, view);
+        let v = parsed(&view);
+        assert_eq!(
+            keys(&v),
+            [
+                "description",
+                "n_leaves",
+                "leaves",
+                "newick",
+                "merges",
+                "max_height"
+            ]
+        );
+        assert_eq!(v["description"].as_str(), Some(view.description.as_str()));
+        assert_eq!(v["n_leaves"].as_u64(), Some(26));
+        assert_eq!(strings(&v["leaves"]), view.leaves);
+        assert_eq!(v["newick"].as_str(), Some(view.newick.as_str()));
+        assert_eq!(v["max_height"].as_f64(), Some(view.max_height));
+        let merges = v["merges"].as_array().unwrap();
+        assert_eq!(merges.len(), view.merges.len());
+        for (m, want) in merges.iter().zip(&view.merges) {
+            assert_eq!(keys(m), ["a", "b", "height", "size"]);
+            assert_eq!(m["a"].as_u64(), Some(want.a as u64));
+            assert_eq!(m["b"].as_u64(), Some(want.b as u64));
+            assert_eq!(m["height"].as_f64(), Some(want.height));
+            assert_eq!(m["size"].as_u64(), Some(want.size as u64));
+        }
     }
 
     #[test]
@@ -288,9 +388,31 @@ mod tests {
         let view = Table1View::from_table(&atlas().table1());
         assert_eq!(view.rows.len(), 26);
         assert!(view.rows.iter().all(|r| !r.top_patterns.is_empty()));
-        let json = serde_json::to_string_pretty(&view).unwrap();
-        let back: Table1View = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, view);
+        let v = parsed(&view);
+        assert_eq!(keys(&v), ["min_support", "rows"]);
+        assert_eq!(v["min_support"].as_f64(), Some(view.min_support));
+        let rows = v["rows"].as_array().unwrap();
+        assert_eq!(rows.len(), view.rows.len());
+        for (row, want) in rows.iter().zip(&view.rows) {
+            assert_eq!(
+                keys(row),
+                ["cuisine", "n_recipes", "pattern_count", "top_patterns"]
+            );
+            assert_eq!(row["cuisine"].as_str(), Some(want.cuisine.as_str()));
+            assert_eq!(row["n_recipes"].as_u64(), Some(want.n_recipes as u64));
+            assert_eq!(
+                row["pattern_count"].as_u64(),
+                Some(want.pattern_count as u64)
+            );
+            let patterns = row["top_patterns"].as_array().unwrap();
+            assert_eq!(patterns.len(), want.top_patterns.len());
+            for (p, want) in patterns.iter().zip(&want.top_patterns) {
+                assert_eq!(keys(p), ["pattern", "support", "len"]);
+                assert_eq!(p["pattern"].as_str(), Some(want.pattern.as_str()));
+                assert_eq!(p["support"].as_f64(), Some(want.support));
+                assert_eq!(p["len"].as_u64(), Some(want.len as u64));
+            }
+        }
     }
 
     #[test]
@@ -307,9 +429,25 @@ mod tests {
         for w in view.most_authentic.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
-        let json = serde_json::to_string(&view).unwrap();
-        let back: FingerprintView = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, view);
+        let v = parsed(&view);
+        assert_eq!(
+            keys(&v),
+            ["cuisine", "n_items", "most_authentic", "least_authentic"]
+        );
+        assert_eq!(v["cuisine"].as_str(), Some("Japanese"));
+        assert_eq!(v["n_items"].as_u64(), Some(view.n_items as u64));
+        for (entries, want) in [
+            (&v["most_authentic"], &view.most_authentic),
+            (&v["least_authentic"], &view.least_authentic),
+        ] {
+            let entries = entries.as_array().unwrap();
+            assert_eq!(entries.len(), want.len());
+            for (e, want) in entries.iter().zip(want) {
+                assert_eq!(keys(e), ["item", "score"]);
+                assert_eq!(e["item"].as_str(), Some(want.item.as_str()));
+                assert_eq!(e["score"].as_f64(), Some(want.score));
+            }
+        }
     }
 
     #[test]
@@ -319,9 +457,33 @@ mod tests {
         let tree = a.authenticity_tree();
         let view =
             AgreementView::from_parts(&geo_agreement(&tree, &geo), &historical_claims(&tree));
-        let json = serde_json::to_string(&view).unwrap();
-        let back: AgreementView = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, view);
+        let v = parsed(&view);
+        assert_eq!(
+            keys(&v),
+            [
+                "tree",
+                "cophenetic_vs_geo",
+                "bakers_gamma",
+                "canada_closer_to_france_than_us",
+                "india_closer_to_north_africa_than_neighbors",
+                "evidence"
+            ]
+        );
+        assert_eq!(v["tree"].as_str(), Some(view.tree.as_str()));
+        assert_eq!(
+            v["cophenetic_vs_geo"].as_f64(),
+            Some(view.cophenetic_vs_geo)
+        );
+        assert_eq!(v["bakers_gamma"].as_f64(), Some(view.bakers_gamma));
+        assert_eq!(
+            v["canada_closer_to_france_than_us"].as_bool(),
+            Some(view.canada_closer_to_france_than_us)
+        );
+        assert_eq!(
+            v["india_closer_to_north_africa_than_neighbors"].as_bool(),
+            Some(view.india_closer_to_north_africa_than_neighbors)
+        );
+        assert_eq!(floats(&v["evidence"]), view.evidence);
 
         let elbow = ElbowView {
             k_max: 8,
@@ -329,14 +491,10 @@ mod tests {
             wcss: a.elbow_curve(8, 5),
         };
         assert_eq!(elbow.wcss.len(), 8);
-        let json = serde_json::to_string(&elbow).unwrap();
-        let back: ElbowView = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, elbow);
-    }
-
-    #[test]
-    fn missing_fields_are_rejected() {
-        assert!(serde_json::from_str::<TreeView>("{}").is_err());
-        assert!(serde_json::from_str::<Table1View>(r#"{"min_support":0.2}"#).is_err());
+        let v = parsed(&elbow);
+        assert_eq!(keys(&v), ["k_max", "seed", "wcss"]);
+        assert_eq!(v["k_max"].as_u64(), Some(8));
+        assert_eq!(v["seed"].as_u64(), Some(5));
+        assert_eq!(floats(&v["wcss"]), elbow.wcss);
     }
 }

@@ -10,8 +10,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{IngredientId, Item, ItemKind, ProcessId, UtensilId};
 
 /// A dense id in the unified (ingredient ∪ process ∪ utensil) token space.
@@ -19,16 +17,18 @@ use crate::model::{IngredientId, Item, ItemKind, ProcessId, UtensilId};
 /// Layout: `[0, n_ing)` are ingredients, `[n_ing, n_ing + n_proc)` are
 /// processes, and the remainder are utensils. The layout is an internal
 /// detail — use [`Catalog::token_of`] / [`Catalog::item_of`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TokenId(pub u32);
 
 /// An append-only string interner with stable indices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
     names: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, u32>,
 }
+
+// The reverse index is rebuilt from the names, so only they are written.
+serde_json::impl_serialize!(Interner { names });
 
 impl Interner {
     /// Create an empty interner.
@@ -77,7 +77,7 @@ impl Interner {
 
     /// An interner over `names` in id order, with its reverse index (a
     /// name listed twice resolves to its last id).
-    pub(crate) fn from_names(names: Vec<String>) -> Self {
+    fn from_names(names: Vec<String>) -> Self {
         let index = names
             .iter()
             .enumerate()
@@ -88,12 +88,18 @@ impl Interner {
 }
 
 /// The three interners of a corpus plus the unified token space.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     ingredients: Interner,
     processes: Interner,
     utensils: Interner,
 }
+
+serde_json::impl_serialize!(Catalog {
+    ingredients,
+    processes,
+    utensils
+});
 
 impl Catalog {
     /// Create an empty catalog.
@@ -234,8 +240,9 @@ impl Catalog {
         self.item_of(token).map(Item::kind)
     }
 
-    /// A catalog over the three name lists of a decoded snapshot.
-    pub(crate) fn from_names(
+    /// A catalog over three name lists in id order, as a decoded corpus
+    /// holds them (a name listed twice resolves to its last id).
+    pub fn from_names(
         ingredients: Vec<String>,
         processes: Vec<String>,
         utensils: Vec<String>,

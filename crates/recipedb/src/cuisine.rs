@@ -2,10 +2,8 @@
 //! counts of Table I and representative geographic centroids used by the
 //! geographical validation tree (Figure 6).
 
-use serde::{Deserialize, Serialize};
-
 /// One of the paper's 26 geo-cultural cuisine regions (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // variant names are self-describing region names
 pub enum Cuisine {
     Australian,
@@ -120,38 +118,18 @@ impl Cuisine {
         Cuisine::ALL.iter().copied().find(|c| c.name() == name)
     }
 
-    /// Parse the variant identifier a corpus snapshot stores for a
-    /// cuisine (`"ChineseAndMongolian"`, not the Table I name).
+    /// The identifier a corpus stores for this cuisine
+    /// (`"ChineseAndMongolian"`, not the Table I name).
+    fn ident(self) -> &'static str {
+        IDENTS[self.index()]
+    }
+
+    /// Parse a corpus's cuisine identifier (see [`Cuisine::ident`]).
     pub(crate) fn from_ident(ident: &str) -> Option<Cuisine> {
-        Some(match ident {
-            "Australian" => Cuisine::Australian,
-            "Belgian" => Cuisine::Belgian,
-            "Canadian" => Cuisine::Canadian,
-            "Caribbean" => Cuisine::Caribbean,
-            "CentralAmerican" => Cuisine::CentralAmerican,
-            "ChineseAndMongolian" => Cuisine::ChineseAndMongolian,
-            "Deutschland" => Cuisine::Deutschland,
-            "EasternEuropean" => Cuisine::EasternEuropean,
-            "French" => Cuisine::French,
-            "Greek" => Cuisine::Greek,
-            "IndianSubcontinent" => Cuisine::IndianSubcontinent,
-            "Irish" => Cuisine::Irish,
-            "Italian" => Cuisine::Italian,
-            "Japanese" => Cuisine::Japanese,
-            "Mexican" => Cuisine::Mexican,
-            "RestAfrica" => Cuisine::RestAfrica,
-            "SouthAmerican" => Cuisine::SouthAmerican,
-            "SoutheastAsian" => Cuisine::SoutheastAsian,
-            "SpanishAndPortuguese" => Cuisine::SpanishAndPortuguese,
-            "Thai" => Cuisine::Thai,
-            "Korean" => Cuisine::Korean,
-            "MiddleEastern" => Cuisine::MiddleEastern,
-            "NorthernAfrica" => Cuisine::NorthernAfrica,
-            "Scandinavian" => Cuisine::Scandinavian,
-            "UK" => Cuisine::UK,
-            "US" => Cuisine::US,
-            _ => return None,
-        })
+        IDENTS
+            .iter()
+            .position(|&s| s == ident)
+            .map(|i| Cuisine::ALL[i])
     }
 
     /// The number of recipes Table I attributes to this region.
@@ -226,6 +204,42 @@ impl Cuisine {
     }
 }
 
+/// Corpus identifiers, in [`Cuisine::ALL`] order: the variant names.
+const IDENTS: [&str; Cuisine::COUNT] = [
+    "Australian",
+    "Belgian",
+    "Canadian",
+    "Caribbean",
+    "CentralAmerican",
+    "ChineseAndMongolian",
+    "Deutschland",
+    "EasternEuropean",
+    "French",
+    "Greek",
+    "IndianSubcontinent",
+    "Irish",
+    "Italian",
+    "Japanese",
+    "Mexican",
+    "RestAfrica",
+    "SouthAmerican",
+    "SoutheastAsian",
+    "SpanishAndPortuguese",
+    "Thai",
+    "Korean",
+    "MiddleEastern",
+    "NorthernAfrica",
+    "Scandinavian",
+    "UK",
+    "US",
+];
+
+impl serde_json::Serialize for Cuisine {
+    fn serialize(&self, out: &mut String) {
+        serde_json::Serialize::serialize(self.ident(), out);
+    }
+}
+
 impl std::fmt::Display for Cuisine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -266,6 +280,7 @@ mod tests {
     fn ident_is_the_serialized_variant_name() {
         for &c in &Cuisine::ALL {
             let json = serde_json::to_string(&c).unwrap();
+            assert_eq!(json, format!("\"{c:?}\""));
             let ident = json.trim_matches('"');
             assert_eq!(Cuisine::from_ident(ident), Some(c), "{json}");
         }

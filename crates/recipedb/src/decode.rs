@@ -1,17 +1,18 @@
 //! The corpus decoder: one typed pass over RecipeDB JSON.
 //!
-//! Parsing a corpus through the generic `serde_json` layer builds a
-//! `serde::Value` tree of the whole document and then deserializes that
-//! tree: two passes, and a transient several times the size of the
-//! corpus it produces. This decoder walks the bytes once and fills the
-//! catalog, the recipes and the cuisine index directly. Names are
-//! copied straight out of the input (one exact-size allocation each),
-//! id lists go through a reused scratch buffer into exact-size vectors,
-//! and values under keys the schema does not know are validated and
-//! skipped without being stored.
+//! Parsing a corpus to a `serde_json::Value` tree and reading the schema
+//! off that tree takes two passes, and a transient several times the
+//! size of the corpus it produces. This decoder walks the bytes once and
+//! fills the catalog, the recipes and the cuisine index directly. Names
+//! are copied straight out of the input (one exact-size allocation
+//! each), id lists go through a reused scratch buffer into exact-size
+//! vectors, and values under keys the schema does not know are
+//! validated and skipped without being stored.
 //!
-//! It accepts and rejects exactly what the derived `Deserialize` does
-//! (pinned by `tests/decode_differential.rs`):
+//! It accepts and rejects exactly what the reference decoder over a
+//! `Value` tree in `tests/common/reference.rs` does (pinned by
+//! `tests/decode_differential.rs`), and that reference spells out these
+//! rules directly:
 //!
 //! * unknown keys are ignored, at every level;
 //! * on a duplicate key the last value wins, so an invalid earlier
@@ -71,8 +72,7 @@ fn schema(msg: impl Into<String>) -> Fault {
     Fault::Schema(msg.into())
 }
 
-/// The value of a finished object's field, or the error the derived
-/// `Deserialize` reports for it.
+/// The value of a finished object's field, or the error for it.
 fn take<T>(slot: Slot<T>, ty: &str, key: &str) -> Step<T> {
     match slot {
         Some(Ok(value)) => Ok(value),
@@ -135,8 +135,8 @@ impl<'a> Decoder<'a> {
         let decoded = self.root();
         if let Err(Fault::Schema(_)) = decoded {
             // A syntax error anywhere in the text outranks a schema
-            // error, as it does when the text is parsed before it is
-            // deserialized.
+            // error, as it does when the text is parsed to a tree before
+            // the schema is read off it.
             self.pos = 0;
             self.skip_ws();
             self.skip_value(0)?;

@@ -7,7 +7,7 @@ use std::path::Path;
 use crate::error::RecipeDbError;
 use crate::store::RecipeDb;
 
-/// Serialize a corpus to pretty JSON.
+/// Serialize a corpus to compact JSON.
 pub fn to_json(db: &RecipeDb) -> Result<String, RecipeDbError> {
     Ok(serde_json::to_string(db)?)
 }
@@ -20,9 +20,9 @@ pub fn from_json(json: &str) -> Result<RecipeDb, RecipeDbError> {
 }
 
 /// Write a corpus as JSON to a writer.
-pub fn write_json<W: Write>(db: &RecipeDb, writer: W) -> Result<(), RecipeDbError> {
-    let w = BufWriter::new(writer);
-    serde_json::to_writer(w, db)?;
+pub fn write_json<W: Write>(db: &RecipeDb, mut writer: W) -> Result<(), RecipeDbError> {
+    writer.write_all(to_json(db)?.as_bytes())?;
+    writer.flush()?;
     Ok(())
 }
 

@@ -6,23 +6,35 @@
 //! utensils"). Identifiers are small newtyped integers into the interned
 //! [`crate::catalog::Catalog`].
 
-use serde::{Deserialize, Serialize};
+use serde_json::Serialize;
 
 /// Identifier of a recipe within a [`crate::store::RecipeDb`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecipeId(pub u32);
 
 /// Identifier of an interned ingredient name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IngredientId(pub u32);
 
 /// Identifier of an interned cooking-process name (e.g. "add", "heat").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u32);
 
 /// Identifier of an interned utensil name (e.g. "bowl", "skillet").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UtensilId(pub u32);
+
+// An id is written as its bare integer.
+macro_rules! serialize_inner {
+    ($($id:ident),*) => {$(
+        impl Serialize for $id {
+            fn serialize(&self, out: &mut String) {
+                self.0.serialize(out);
+            }
+        }
+    )*};
+}
+serialize_inner!(RecipeId, IngredientId, ProcessId, UtensilId);
 
 /// The three kinds of entities a recipe is composed of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -97,7 +109,7 @@ impl Item {
 /// * `ingredients`, `processes` and `utensils` are sorted and deduplicated;
 /// * `utensils` may be empty (14,601 of the 118,071 paper recipes have no
 ///   utensil information).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recipe {
     /// Identifier within the owning store.
     pub id: RecipeId,
@@ -112,6 +124,15 @@ pub struct Recipe {
     /// Sorted, deduplicated utensil ids (possibly empty).
     pub utensils: Vec<UtensilId>,
 }
+
+serde_json::impl_serialize!(Recipe {
+    id,
+    name,
+    cuisine,
+    ingredients,
+    processes,
+    utensils
+});
 
 impl Recipe {
     /// Total number of items across all three kinds.

@@ -1,7 +1,5 @@
 //! The in-memory recipe database: recipes + catalogs + cuisine indices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::{Catalog, TokenId};
 use crate::cuisine::Cuisine;
 use crate::error::RecipeDbError;
@@ -14,16 +12,21 @@ use crate::stats::CorpusStats;
 /// [`crate::generator::CorpusGenerator`]), then query it. Recipes are stored
 /// densely; `RecipeId(i)` is the recipe at position `i`.
 ///
-/// Corpora are read by [`crate::io::from_json`], a typed single-pass
-/// decoder; the derived `Deserialize` is kept only as the reference
-/// that decoder is differentially tested against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Corpora are written by [`crate::io::to_json`] and read by
+/// [`crate::io::from_json`], a typed single-pass decoder.
+#[derive(Debug, Clone)]
 pub struct RecipeDb {
     catalog: Catalog,
     recipes: Vec<Recipe>,
     /// recipe ids per cuisine, indexed by `Cuisine::index()`.
     by_cuisine: Vec<Vec<RecipeId>>,
 }
+
+serde_json::impl_serialize!(RecipeDb {
+    catalog,
+    recipes,
+    by_cuisine
+});
 
 impl RecipeDb {
     /// The item catalog of this corpus.
@@ -114,7 +117,7 @@ impl RecipeDb {
 
     /// Validate internal invariants (dense ids, in-range references,
     /// normalized item lists, and a consistent per-cuisine index). The
-    /// builder and deserializer enforce this; exposed publicly for
+    /// builder and the decoder enforce this; exposed publicly for
     /// defensive use against externally-supplied snapshots.
     pub fn validate(&self) -> Result<(), RecipeDbError> {
         for (i, r) in self.recipes.iter().enumerate() {
@@ -204,7 +207,7 @@ impl RecipeDb {
 
     /// Assemble a corpus from decoded parts and check every invariant
     /// [`RecipeDb::validate`] checks.
-    pub(crate) fn from_parts(
+    pub fn from_parts(
         catalog: Catalog,
         recipes: Vec<Recipe>,
         by_cuisine: Vec<Vec<RecipeId>>,

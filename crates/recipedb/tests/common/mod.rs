@@ -5,6 +5,10 @@
 use recipedb::store::{RecipeDb, RecipeDbBuilder};
 use recipedb::Cuisine;
 
+// Only the differential suite decodes through the reference.
+#[allow(dead_code)]
+pub mod reference;
+
 /// A splitmix64 stream: enough randomness for corpus shapes.
 struct Rng(u64);
 

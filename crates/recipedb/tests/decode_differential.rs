@@ -1,7 +1,8 @@
 //! The typed corpus decoder against its reference: `io::from_json` must
-//! accept exactly the documents the derived `Deserialize` (plus
-//! `validate`) accepts, and decode them to the same corpus — the same
-//! `to_json` bytes and the same `corpus_digest`. Hand-written edge
+//! accept exactly the documents the reference decoder over a `Value`
+//! tree (`common::reference`, which ends in the validating
+//! `RecipeDb::from_parts`) accepts, and decode them to the same corpus —
+//! the same `to_json` bytes and the same `corpus_digest`. Hand-written edge
 //! cases cover the schema rules; truncation at every offset and
 //! single-byte substitutions of a small corpus sweep the rest, and must
 //! never panic.
@@ -12,24 +13,16 @@ use recipedb::generator::{CorpusGenerator, GeneratorConfig};
 use recipedb::store::{RecipeDb, RecipeDbBuilder};
 use recipedb::{corpus_digest, io, Cuisine, RecipeDbError};
 
-/// The reference path: parse to a `Value` tree, deserialize with the
-/// derive, validate.
-fn reference(json: &str) -> Result<RecipeDb, String> {
-    let db: RecipeDb = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    db.validate().map_err(|e| e.to_string())?;
-    Ok(db)
-}
-
 fn excerpt(json: &str) -> String {
     json.chars().take(300).collect()
 }
 
-/// Decode `json` both ways; they must agree. Returns whether it was
-/// accepted.
+/// Decode `json` with the typed decoder and the reference; they must
+/// agree. Returns whether it was accepted.
 fn agree(json: &str) -> bool {
     let typed = io::from_json(json);
-    let derived = reference(json);
-    match (&typed, &derived) {
+    let tree = common::reference::decode(json);
+    match (&typed, &tree) {
         (Ok(a), Ok(b)) => {
             assert_eq!(
                 io::to_json(a).unwrap(),
@@ -41,8 +34,14 @@ fn agree(json: &str) -> bool {
             true
         }
         (Err(_), Err(_)) => false,
-        (Ok(_), Err(e)) => panic!("typed accepted, derive rejected ({e}): {:?}", excerpt(json)),
-        (Err(e), Ok(_)) => panic!("typed rejected ({e}), derive accepted: {:?}", excerpt(json)),
+        (Ok(_), Err(e)) => panic!(
+            "typed accepted, reference rejected ({e}): {:?}",
+            excerpt(json)
+        ),
+        (Err(e), Ok(_)) => panic!(
+            "typed rejected ({e}), reference accepted: {:?}",
+            excerpt(json)
+        ),
     }
 }
 
@@ -451,7 +450,7 @@ fn generated_corpora_decode_to_the_same_bytes_and_digest() {
         assert!(agree(&json));
         // Formatting is not content: a pretty-printed body is the same
         // corpus.
-        let pretty = serde_json::to_string_pretty(db).unwrap();
+        let pretty = serde_json::from_str(&json).unwrap().to_json_pretty();
         let back = io::from_json(&pretty).unwrap();
         assert_eq!(io::to_json(&back).unwrap(), json);
         assert!(agree(&pretty));

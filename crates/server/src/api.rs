@@ -28,8 +28,8 @@ use cuisine_atlas::pipeline::{AtlasConfig, BuildTimings, CuisineAtlas, SpanSink}
 use cuisine_atlas::snapshot::{self, CorpusOrigin};
 use cuisine_atlas::views::{AgreementView, ElbowView, FingerprintView, Table1View, TreeView};
 use recipedb::{Cuisine, RecipeDbError};
-use serde::Serialize;
 use serde_json::json;
+use serde_json::Serialize;
 
 use crate::cache::{CacheKey, Lookup, Lru};
 use crate::corpus::{CorpusInfo, CorpusRegistry};

@@ -254,16 +254,13 @@ fn run_json(atlas: &CuisineAtlas, opts: &Options, registry: &MetricsRegistry) ->
             name => view(name),
         };
         match value {
-            Ok(v) => println!("{}", serde_json::to_string_pretty(&v).unwrap()),
+            Ok(v) => println!("{}", v.to_json_pretty()),
             Err(msg) => {
                 eprintln!("{msg}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&metrics_snapshot(registry)).unwrap()
-    );
+    println!("{}", metrics_snapshot(registry).to_json_pretty());
     ExitCode::SUCCESS
 }

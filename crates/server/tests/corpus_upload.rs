@@ -157,7 +157,8 @@ fn seed_over_an_upload_moves_only_the_elbow() {
             &server,
             &format!("/elbow?k_max=6&corpus={digest}&seed={seed}"),
         );
-        let v: serde_json::Value = serde_json::from_slice(&body).expect("elbow JSON");
+        let v: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("elbow JSON");
         assert_eq!(
             v["seed"].as_u64(),
             Some(seed),

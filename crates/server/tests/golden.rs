@@ -15,6 +15,11 @@
 //!   its `POST /corpus` response (`{upload}` in a target stands for the
 //!   digest the upload returns);
 //! - `/cuisines` and one `/batch` body;
+//! - the error bodies: a 400 for a bad `min_support`, a 404 for an
+//!   unknown cuisine and one for an unknown route, a 405, a 400 for a
+//!   malformed upload and a 422 for an empty one (`#malformed` and
+//!   `#empty` tell those two `POST /corpus` lines apart), a `/batch`
+//!   whose members fail, and the `DELETE /corpus` response;
 //! - the `snapshot::encode_atlas` frames of `quick(23)` under `average`
 //!   and of the subset under `average` and `complete`. A frame holds no
 //!   timings, so it is a pure function of its atlas. Their lines read
@@ -25,7 +30,9 @@
 //! `corpus_digest` and the `snapshot::encode_corpus` frame. Their
 //! fixture lines read `<digest> corpus <what> <config>`.
 //!
-//! Not covered: `/health` and `/metrics` (they carry timings).
+//! `/health` carries timings, so only its key paths and their order
+//! are pinned ([`HEALTH_KEYS`]), not its values; `/metrics` is not
+//! covered.
 //! `repro --json` is pinned by `repro_cli.rs`.
 //!
 //! The digests were recorded on `x86_64-unknown-linux-gnu`. Bodies are
@@ -44,6 +51,7 @@ use recipedb::digest::{corpus_digest, Sha256};
 use recipedb::generator::CorpusGenerator;
 use recipedb::store::RecipeDbBuilder;
 use recipedb::{io, Cuisine};
+use serde_json::Value;
 
 const FIXTURE: &str = include_str!("fixtures/golden_digests.txt");
 const SEED: u64 = 23;
@@ -127,11 +135,38 @@ fn served_bodies_match_the_recorded_digests() {
     let (status, body) = server.post(&batch_target, batch.as_bytes()).unwrap();
     actual.push(line("POST", &batch_target, status, &body));
 
+    // Error bodies. None of these builds: `quick(23)` is cached and the
+    // rest fail before an atlas is resolved.
+    for target in [
+        "/table1?seed=23&min_support=2",
+        "/fingerprint/Atlantis?seed=23",
+        "/nope",
+    ] {
+        let (status, body) = server.get(target).unwrap();
+        actual.push(line("GET", target, status, &body));
+    }
+    let (status, body) = server.delete("/table1").unwrap();
+    actual.push(line("DELETE", "/table1", status, &body));
+    let failing_batch = format!("/batch?seed={SEED}&members=failing");
+    let (status, body) = server
+        .post(
+            &failing_batch,
+            br#"{"artifacts":["fingerprint/Atlantis","elbow?k_max=0","cuisines"]}"#,
+        )
+        .unwrap();
+    actual.push(line("POST", &failing_batch, status, &body));
+    let empty = io::to_json(&RecipeDbBuilder::new().build().unwrap()).unwrap();
+    for (label, upload) in [("malformed", r#"{"catalog":"#), ("empty", empty.as_str())] {
+        let (status, body) = server.post("/corpus", upload.as_bytes()).unwrap();
+        actual.push(line("POST", &format!("/corpus#{label}"), status, &body));
+    }
+
     let (status, body) = server
         .post("/corpus", subset_corpus_json().as_bytes())
         .unwrap();
     actual.push(line("POST", "/corpus", status, &body));
-    let response: serde_json::Value = serde_json::from_slice(&body).expect("upload JSON");
+    let response: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("upload JSON");
     let digest = response["corpus"].as_str().expect("upload digest");
     for target in artifact_targets("corpus={upload}") {
         let (status, body) = server
@@ -167,6 +202,16 @@ fn served_bodies_match_the_recorded_digests() {
         4,
         "only the subset under complete is new"
     );
+
+    let (status, body) = server.get("/health").unwrap();
+    assert_eq!(status, 200);
+    let health = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    let mut keys = Vec::new();
+    key_paths(&health, "", &mut keys);
+    assert_eq!(keys, HEALTH_KEYS, "/health key paths");
+
+    let (status, body) = server.delete(&format!("/corpus/{digest}")).unwrap();
+    actual.push(line("DELETE", "/corpus/{upload}", status, &body));
     server.shutdown();
 
     assert_matches_fixture(&actual, |status| status != "corpus");
@@ -192,6 +237,106 @@ fn generated_corpora_match_the_recorded_digests() {
         }
     }
     assert_matches_fixture(&actual, |status| status == "corpus");
+}
+
+/// `/health`'s key paths in document order, after the requests of
+/// `served_bodies_match_the_recorded_digests`; `[]` stands for an
+/// array's first element.
+const HEALTH_KEYS: &[&str] = &[
+    "status",
+    "workers",
+    "build_threads",
+    "cached_atlases",
+    "builds",
+    "cache_hits",
+    "cache_misses",
+    "last_build_ms",
+    "last_build_ms.generate",
+    "last_build_ms.mine",
+    "last_build_ms.features",
+    "last_build_ms.pdist",
+    "last_build_ms.total",
+    "recent_builds_ms",
+    "recent_builds_ms.[].generate",
+    "recent_builds_ms.[].mine",
+    "recent_builds_ms.[].features",
+    "recent_builds_ms.[].pdist",
+    "recent_builds_ms.[].total",
+    "latency_ms",
+    "latency_ms./cuisines",
+    "latency_ms./cuisines.count",
+    "latency_ms./cuisines.p50",
+    "latency_ms./cuisines.p99",
+    "latency_ms./table1",
+    "latency_ms./table1.count",
+    "latency_ms./table1.p50",
+    "latency_ms./table1.p99",
+    "latency_ms./tree/pattern/:metric",
+    "latency_ms./tree/pattern/:metric.count",
+    "latency_ms./tree/pattern/:metric.p50",
+    "latency_ms./tree/pattern/:metric.p99",
+    "latency_ms./tree/authenticity",
+    "latency_ms./tree/authenticity.count",
+    "latency_ms./tree/authenticity.p50",
+    "latency_ms./tree/authenticity.p99",
+    "latency_ms./tree/geo",
+    "latency_ms./tree/geo.count",
+    "latency_ms./tree/geo.p50",
+    "latency_ms./tree/geo.p99",
+    "latency_ms./compare",
+    "latency_ms./compare.count",
+    "latency_ms./compare.p50",
+    "latency_ms./compare.p99",
+    "latency_ms./fingerprint/:cuisine",
+    "latency_ms./fingerprint/:cuisine.count",
+    "latency_ms./fingerprint/:cuisine.p50",
+    "latency_ms./fingerprint/:cuisine.p99",
+    "latency_ms./elbow",
+    "latency_ms./elbow.count",
+    "latency_ms./elbow.p50",
+    "latency_ms./elbow.p99",
+    "latency_ms./corpus",
+    "latency_ms./corpus.count",
+    "latency_ms./corpus.p50",
+    "latency_ms./corpus.p99",
+    "latency_ms./batch",
+    "latency_ms./batch.count",
+    "latency_ms./batch.p50",
+    "latency_ms./batch.p99",
+    "latency_ms.unrouted",
+    "latency_ms.unrouted.count",
+    "latency_ms.unrouted.p50",
+    "latency_ms.unrouted.p99",
+    "corpora",
+    "corpora.[].corpus",
+    "corpora.[].recipes",
+    "corpora.[].cuisines",
+    "corpora.[].memory_bytes",
+    "corpora.[].disk_bytes",
+    "corpora.[].atlas_snapshots",
+    "corpus_memory_bytes",
+    "corpus_disk_bytes",
+    "store",
+];
+
+/// Every object key under `value`, as a dotted path, in document order.
+/// An array contributes the paths of its first element.
+fn key_paths(value: &Value, prefix: &str, out: &mut Vec<String>) {
+    match value {
+        Value::Object(map) => {
+            for (key, child) in map.iter() {
+                let path = format!("{prefix}{key}");
+                out.push(path.clone());
+                key_paths(child, &format!("{path}."), out);
+            }
+        }
+        Value::Array(items) => {
+            if let Some(first) = items.first() {
+                key_paths(first, &format!("{prefix}[]."), out);
+            }
+        }
+        _ => {}
+    }
 }
 
 /// Compare `actual` fixture lines with the fixture lines whose second

@@ -277,8 +277,9 @@ fn corrupted_snapshot_falls_back_to_rebuild() {
 }
 
 /// An atlas file of another atlas layout version — what a data dir
-/// written before a layout change holds — is a miss, not damage: it is
-/// rebuilt once and overwritten in place, nothing is quarantined, the
+/// written before a layout change holds — is a miss, not damage: the
+/// store deletes it when it opens, the atlas is rebuilt once and written
+/// anew under the same name, nothing is quarantined, the
 /// next restart is warm, and the uploaded corpus beside it (whose frame
 /// version did not move) still restores.
 #[test]
@@ -328,7 +329,7 @@ fn atlas_of_another_version_is_rebuilt_and_overwritten() {
     assert_eq!(
         rewritten[version_at],
         snapshot::ATLAS_VERSION.to_le_bytes(),
-        "the rebuild overwrites the old file"
+        "the rebuild writes the current version"
     );
     rebuilt.shutdown();
 
@@ -552,7 +553,7 @@ fn read_only_store_serves_warm_reads_without_writing() {
 #[test]
 fn pretty_printed_upload_with_unknown_keys_survives_restart() {
     let db = CorpusGenerator::new(AtlasConfig::quick(SEED).corpus).generate();
-    let mut value = serde_json::to_value(&db).unwrap();
+    let mut value = serde_json::from_str(&io::to_json(&db).unwrap()).unwrap();
     value["provenance"] = serde_json::json!({"exported_by": "notebook", "rows": [1, 2, 3]});
     let body = value.to_json_pretty();
     assert_ne!(body, io::to_json(&db).unwrap());

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use atlas_server::{ServerConfig, ServerHandle};
-use cuisine_atlas::views::{AgreementView, ElbowView, FingerprintView, Table1View, TreeView};
+use serde_json::Value;
 
 /// A seed no other test shares, so the first request here is always a
 /// cold build.
@@ -27,9 +27,14 @@ fn get_ok(server: &ServerHandle, path: &str) -> Vec<u8> {
     body
 }
 
-fn tree(server: &ServerHandle, path: &str) -> TreeView {
+/// A 200 body parsed to a JSON tree.
+fn get_json(server: &ServerHandle, path: &str) -> Value {
     let body = get_ok(server, path);
-    serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("TreeView JSON")
+    serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("JSON body")
+}
+
+fn len(v: &Value) -> usize {
+    v.as_array().expect("an array").len()
 }
 
 #[test]
@@ -60,10 +65,10 @@ fn serves_every_endpoint_under_concurrency_with_one_build() {
             "all coalesced responses serve identical bytes"
         );
     }
-    let table: Table1View =
-        serde_json::from_str(std::str::from_utf8(&bodies[0]).unwrap()).expect("Table1View JSON");
-    assert_eq!(table.rows.len(), 26);
-    assert!(table.rows.iter().all(|r| r.n_recipes > 0));
+    let table = serde_json::from_str(std::str::from_utf8(&bodies[0]).unwrap()).expect("JSON");
+    let rows = table["rows"].as_array().unwrap();
+    assert_eq!(rows.len(), 26);
+    assert!(rows.iter().all(|r| r["n_recipes"].as_u64() > Some(0)));
 
     // --- Every endpoint, 4 concurrent clients each doing a full sweep.
     // The atlas for SEED is cached now, so these are all cache hits.
@@ -99,40 +104,47 @@ fn serves_every_endpoint_under_concurrency_with_one_build() {
 
     // --- Typed spot checks on each artifact.
     for metric in ["euclidean", "cosine", "jaccard"] {
-        let view = tree(&server, &format!("/tree/pattern/{metric}?seed={SEED}"));
-        assert_eq!(view.n_leaves, 26, "{metric} tree has 26 leaves");
-        assert_eq!(view.leaves.len(), 26);
-        assert_eq!(view.merges.len(), 25);
-        assert!(view.description.contains(metric));
-        assert!(view.newick.ends_with(';'));
+        let view = get_json(&server, &format!("/tree/pattern/{metric}?seed={SEED}"));
+        assert_eq!(
+            view["n_leaves"].as_u64(),
+            Some(26),
+            "{metric} tree has 26 leaves"
+        );
+        assert_eq!(len(&view["leaves"]), 26);
+        assert_eq!(len(&view["merges"]), 25);
+        assert!(view["description"].as_str().unwrap().contains(metric));
+        assert!(view["newick"].as_str().unwrap().ends_with(';'));
     }
-    let auth = tree(&server, &format!("/tree/authenticity?seed={SEED}"));
-    assert_eq!(auth.n_leaves, 26);
-    let geo = tree(&server, &format!("/tree/geo?seed={SEED}"));
-    assert_eq!(geo.n_leaves, 26);
+    let auth = get_json(&server, &format!("/tree/authenticity?seed={SEED}"));
+    assert_eq!(auth["n_leaves"].as_u64(), Some(26));
+    let geo = get_json(&server, &format!("/tree/geo?seed={SEED}"));
+    assert_eq!(geo["n_leaves"].as_u64(), Some(26));
 
-    let body = get_ok(&server, &format!("/compare?seed={SEED}"));
-    let agreements: Vec<AgreementView> =
-        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("AgreementView JSON");
+    let agreements = get_json(&server, &format!("/compare?seed={SEED}"));
+    let agreements = agreements.as_array().unwrap();
     assert_eq!(agreements.len(), 4, "three pattern trees plus authenticity");
-    assert!(agreements.iter().all(|a| a.cophenetic_vs_geo.is_finite()));
+    assert!(agreements
+        .iter()
+        .all(|a| a["cophenetic_vs_geo"].as_f64().unwrap().is_finite()));
 
-    let body = get_ok(
+    let fp = get_json(
         &server,
         &format!("/fingerprint/Indian%20Subcontinent?seed={SEED}&k=3"),
     );
-    let fp: FingerprintView =
-        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("FingerprintView JSON");
-    assert_eq!(fp.cuisine, "Indian Subcontinent");
-    assert_eq!(fp.most_authentic.len(), 3);
-    assert_eq!(fp.least_authentic.len(), 3);
+    assert_eq!(fp["cuisine"].as_str(), Some("Indian Subcontinent"));
+    assert_eq!(len(&fp["most_authentic"]), 3);
+    assert_eq!(len(&fp["least_authentic"]), 3);
 
-    let body = get_ok(&server, &format!("/elbow?seed={SEED}&k_max=4"));
-    let elbow: ElbowView =
-        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("ElbowView JSON");
-    assert_eq!(elbow.wcss.len(), 4);
+    let elbow = get_json(&server, &format!("/elbow?seed={SEED}&k_max=4"));
+    let wcss: Vec<f64> = elbow["wcss"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|w| w.as_f64().unwrap())
+        .collect();
+    assert_eq!(wcss.len(), 4);
     assert!(
-        elbow.wcss.windows(2).all(|w| w[1] <= w[0] + 1e-9),
+        wcss.windows(2).all(|w| w[1] <= w[0] + 1e-9),
         "WCSS is non-increasing"
     );
 

@@ -334,7 +334,7 @@ impl SnapshotStore {
                             },
                         );
                     }
-                    Err(e) => self.reject_file(&path, &e),
+                    Err(e) => self.reject_file(&path, &e, true),
                 }
             } else {
                 match snapshot::peek_corpus(&bytes) {
@@ -353,22 +353,32 @@ impl SnapshotStore {
                     // A valid frame whose embedded digest disagrees
                     // with its filename is misplaced content — damage.
                     Ok(_) => self.quarantine_file(&path),
-                    Err(e) => self.reject_file(&path, &e),
+                    Err(e) => self.reject_file(&path, &e, false),
                 }
             }
         }
         Ok(())
     }
 
-    /// Handle a file that failed snapshot validation: *corruption*
-    /// (checksum/structure damage) is quarantined; anything else — a
+    /// Handle a file that failed snapshot validation. *Corruption*
+    /// (checksum/structure damage) is quarantined. Anything else — a
     /// version or kind this build does not speak, written by another
-    /// build — is not damage. It is left in place, unindexed, so a
-    /// rollback to the build that wrote it can still use it (unless
-    /// this build persists the same id over it).
-    fn reject_file(&self, path: &Path, err: &snapshot::SnapshotError) {
+    /// build — is not damage:
+    ///
+    /// * an atlas is deleted: it can always be rebuilt from its corpus,
+    ///   and left in place it would sit on disk outside the index, the
+    ///   disk accounting and the budget;
+    /// * a corpus is left in place, unindexed, because it cannot be
+    ///   rebuilt, so a rollback to the build that wrote it can still use
+    ///   it (unless this build persists the same digest over it).
+    ///
+    /// A read-only store changes neither.
+    fn reject_file(&self, path: &Path, err: &snapshot::SnapshotError, is_atlas: bool) {
         if err.is_corruption() {
             self.quarantine_file(path);
+        } else if is_atlas {
+            // A failed unlink leaves the file as before: unindexed.
+            let _ = self.unlink(path);
         }
     }
 
@@ -954,6 +964,67 @@ mod tests {
         assert!(!path.exists());
         assert!(scratch.0.join("quarantine").join("a1.atlas").exists());
         assert!(store.contains_corpus(&digest));
+    }
+
+    /// Re-frame a snapshot file as `version`: patch the version field
+    /// and reseal the SHA-256 trailer, so the frame is sound but not one
+    /// this build reads.
+    fn reframe(path: &Path, version: u32) {
+        let bytes = fs::read(path).unwrap();
+        let mut frame = bytes[..bytes.len() - 32].to_vec();
+        frame[snapshot::MAGIC.len()..snapshot::MAGIC.len() + 4]
+            .copy_from_slice(&version.to_le_bytes());
+        let mut hasher = recipedb::digest::Sha256::new();
+        hasher.update(&frame);
+        frame.extend_from_slice(&hasher.finalize());
+        fs::write(path, &frame).unwrap();
+    }
+
+    #[test]
+    fn atlas_of_another_version_is_deleted_at_boot_and_corpus_kept() {
+        let scratch = Scratch::new();
+        let (digest, corpus, atlas) = atlas_and_corpus_bytes();
+        {
+            let store = scratch.store(0);
+            store
+                .persist_corpus(&digest, CorpusOrigin::Uploaded, &corpus)
+                .unwrap();
+            store.persist_atlas("a1", &digest, &atlas).unwrap();
+        }
+        let atlas_path = scratch.0.join("atlases").join("a1.atlas");
+        let corpus_path = scratch.0.join("corpora").join(format!("{digest}.corpus"));
+        reframe(&atlas_path, snapshot::ATLAS_VERSION + 1);
+        reframe(&corpus_path, snapshot::CORPUS_VERSION + 1);
+
+        let read_only = SnapshotStore::open(StoreConfig {
+            read_only: true,
+            ..StoreConfig::new(scratch.0.clone())
+        })
+        .unwrap();
+        assert!(!read_only.contains_atlas("a1"));
+        assert!(atlas_path.exists(), "a read-only open changes nothing");
+        drop(read_only);
+
+        let store = scratch.store(0);
+        assert!(
+            !atlas_path.exists(),
+            "an atlas of another version is rebuildable, so it is deleted"
+        );
+        assert!(
+            corpus_path.exists(),
+            "a corpus of another version cannot be rebuilt, so it stays"
+        );
+        assert!(!store.contains_atlas("a1"));
+        assert!(!store.contains_corpus(&digest));
+        let stats = store.stats();
+        assert_eq!(
+            (stats.corrupt, stats.atlas_files, stats.atlas_bytes),
+            (0, 0, 0)
+        );
+        assert_eq!(
+            fs::read_dir(scratch.0.join("quarantine")).unwrap().count(),
+            0
+        );
     }
 
     #[test]
